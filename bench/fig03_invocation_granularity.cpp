@@ -9,12 +9,14 @@
  * Two sections:
  *  1. Analytic — the paper's α/β invocation model (unchanged).
  *  2. Measured — the functional ccl runtime executing the same three
- *     granularities on the DGX-1 double tree, under both execution
- *     engines. The persistent rank executor is this codebase's analog
- *     of the paper's persistent kernels (§IV): it removes the
- *     per-invocation thread-spawn cost, so the fine-granularity
- *     slowdown narrows sharply versus the legacy spawn-per-collective
- *     engine. Results also land in BENCH_ccl.json (bench_ccl/v1).
+ *     granularities on the DGX-1 double tree, twice: on one persistent
+ *     communicator, and on a fresh one per invocation ("spawn", whose
+ *     rank and helper threads are created and joined per call). The
+ *     persistent rank executor is this codebase's analog of the
+ *     paper's persistent kernels (§IV): it removes the per-invocation
+ *     thread-spawn cost, so the fine-granularity slowdown narrows
+ *     sharply versus spawning per collective. Results also land in
+ *     BENCH_ccl.json (bench_ccl/v1).
  */
 
 #include <algorithm>
@@ -74,10 +76,13 @@ slicingInvocations()
 /**
  * Times one full sweep (all invocations back to back), best of
  * kRepetitions, in seconds. Buffers are preallocated and zero-filled
- * so the timed region is purely the collective runtime.
+ * so the timed region is purely the collective runtime. With
+ * @p fresh_per_call every invocation runs on a new persistent
+ * communicator instead of @p comm, so its rank and helper threads are
+ * created and joined per call — the spawn-per-invocation cost.
  */
 double
-measureSweep(ccl::Communicator& comm,
+measureSweep(ccl::Communicator& comm, bool fresh_per_call,
              const topo::DoubleTreeEmbedding& embedding,
              const std::vector<std::size_t>& invocations)
 {
@@ -86,10 +91,20 @@ measureSweep(ccl::Communicator& comm,
     for (std::size_t elems : invocations)
         buffers.emplace_back(kRanks, std::vector<float>(elems, 0.0f));
 
+    auto invoke = [&](ccl::Communicator& c, ccl::RankBuffers& b) {
+        ccl::doubleTreeAllReduce(c, b, embedding, kChunksPerTree,
+                                 ccl::TreePhaseMode::kOverlapped);
+    };
     auto sweep = [&]() {
-        for (ccl::RankBuffers& b : buffers)
-            ccl::doubleTreeAllReduce(comm, b, embedding, kChunksPerTree,
-                                     ccl::TreePhaseMode::kOverlapped);
+        for (ccl::RankBuffers& b : buffers) {
+            if (fresh_per_call) {
+                ccl::Communicator fresh(
+                    kRanks, 4, ccl::RankExecutor::Mode::kPersistent);
+                invoke(fresh, b);
+            } else {
+                invoke(comm, b);
+            }
+        }
     };
     sweep(); // warm up mailboxes, helper pool, forwarding-rule cache
 
@@ -175,21 +190,21 @@ main()
     };
     const struct {
         const char* name;
-        ccl::RankExecutor::Mode mode;
+        bool fresh_per_call;
     } modes[] = {
-        {"persistent", ccl::RankExecutor::Mode::kPersistent},
-        {"spawn", ccl::RankExecutor::Mode::kSpawnPerCall},
+        {"persistent", false},
+        {"spawn", true},
     };
 
     util::Table measured({"strategy", "invocations", "mode",
                           "sweep_ms", "slowdown_vs_oneshot"});
     std::vector<util::BenchRecord> records;
+    ccl::Communicator comm(kRanks, 4, ccl::RankExecutor::Mode::kPersistent);
     for (const auto& mode : modes) {
-        ccl::Communicator comm(kRanks, 4, mode.mode);
         double mode_one_shot = 0.0;
         for (const auto& sweep : sweeps) {
-            const double secs =
-                measureSweep(comm, dt, sweep.invocations);
+            const double secs = measureSweep(comm, mode.fresh_per_call,
+                                             dt, sweep.invocations);
             if (sweep.name == sweeps[0].name)
                 mode_one_shot = secs;
             const double slowdown =

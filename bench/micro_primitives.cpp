@@ -186,16 +186,20 @@ BENCHMARK(BM_GradientQueueIteration)->Arg(16)->Arg(128);
 // Functional AllReduce latency: algorithm × message size × execution engine.
 //
 // The "persistent" mode runs on the parked RankExecutor threads; the
-// "spawn" mode re-creates every rank/forwarder thread per collective,
-// which is the pre-executor behaviour. Comparing the two is the
-// paper's Fig. 3 argument (invocation granularity) applied to this
-// host runtime. Buffers are zero-filled so repeated iterations keep
-// summing zeros instead of overflowing.
+// "spawn" mode builds a fresh persistent communicator per collective,
+// so every rank/helper thread is created and joined per call — the
+// pre-executor behaviour. Comparing the two is the paper's Fig. 3
+// argument (invocation granularity) applied to this host runtime.
+// Buffers are zero-filled so repeated iterations keep summing zeros
+// instead of overflowing.
 // ---------------------------------------------------------------------------
 
 enum class Alg { kRing, kTree, kOverlappedTree, kDoubleTree };
 
-/** Topologies + one communicator per executor mode, built once. */
+/** Engine arm of a latency row: the two engines, plus "spawn". */
+enum class Arm { kPersistent, kSpawn, kStateMachine };
+
+/** Topologies + one communicator per engine, built once. */
 struct AllReduceFixture {
     topo::Graph dgx1 = topo::makeDgx1();
     topo::RingEmbedding ring = topo::findHamiltonianRing(dgx1, 8);
@@ -204,8 +208,6 @@ struct AllReduceFixture {
     topo::DoubleTreeEmbedding double_tree = topo::makeDgx1DoubleTree(dgx1);
     ccl::Communicator persistent{8, 4,
                                  ccl::RankExecutor::Mode::kPersistent};
-    ccl::Communicator spawn{8, 4,
-                            ccl::RankExecutor::Mode::kSpawnPerCall};
     ccl::Communicator statemachine{
         8, 4, ccl::RankExecutor::Mode::kStateMachine};
 };
@@ -219,36 +221,47 @@ fixture()
 
 constexpr int kAllReduceChunks = 4;
 
+/** One AllReduce of @p alg over @p buffers on @p comm. */
 void
-runAllReduce(benchmark::State& state, Alg alg,
-             ccl::RankExecutor::Mode mode)
+allReduceOnce(ccl::Communicator& comm, ccl::RankBuffers& buffers,
+              Alg alg)
 {
     AllReduceFixture& f = fixture();
-    ccl::Communicator& comm =
-        mode == ccl::RankExecutor::Mode::kPersistent ? f.persistent
-        : mode == ccl::RankExecutor::Mode::kSpawnPerCall
-            ? f.spawn
-            : f.statemachine;
+    switch (alg) {
+    case Alg::kRing:
+        ccl::ringAllReduce(comm, buffers, f.ring);
+        break;
+    case Alg::kTree:
+        ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
+                           ccl::TreePhaseMode::kTwoPhase);
+        break;
+    case Alg::kOverlappedTree:
+        ccl::overlappedTreeAllReduce(comm, buffers, f.tree,
+                                     kAllReduceChunks);
+        break;
+    case Alg::kDoubleTree:
+        ccl::doubleTreeAllReduce(comm, buffers, f.double_tree,
+                                 kAllReduceChunks,
+                                 ccl::TreePhaseMode::kOverlapped);
+        break;
+    }
+}
+
+void
+runAllReduce(benchmark::State& state, Alg alg, Arm arm)
+{
+    AllReduceFixture& f = fixture();
     const auto elems = static_cast<std::size_t>(state.range(0));
     ccl::RankBuffers buffers(8, std::vector<float>(elems, 0.0f));
     for (auto _ : state) {
-        switch (alg) {
-        case Alg::kRing:
-            ccl::ringAllReduce(comm, buffers, f.ring);
-            break;
-        case Alg::kTree:
-            ccl::treeAllReduce(comm, buffers, f.tree, kAllReduceChunks,
-                               ccl::TreePhaseMode::kTwoPhase);
-            break;
-        case Alg::kOverlappedTree:
-            ccl::overlappedTreeAllReduce(comm, buffers, f.tree,
-                                         kAllReduceChunks);
-            break;
-        case Alg::kDoubleTree:
-            ccl::doubleTreeAllReduce(comm, buffers, f.double_tree,
-                                     kAllReduceChunks,
-                                     ccl::TreePhaseMode::kOverlapped);
-            break;
+        if (arm == Arm::kSpawn) {
+            ccl::Communicator fresh(8, 4,
+                                    ccl::RankExecutor::Mode::kPersistent);
+            allReduceOnce(fresh, buffers, alg);
+        } else {
+            allReduceOnce(arm == Arm::kPersistent ? f.persistent
+                                                  : f.statemachine,
+                          buffers, alg);
         }
     }
     state.SetBytesProcessed(
@@ -263,9 +276,9 @@ registerAllReduceBenchmarks()
         const char* name;
         Alg alg;
     };
-    struct ModeEntry {
+    struct ArmEntry {
         const char* name;
-        ccl::RankExecutor::Mode mode;
+        Arm arm;
     };
     static constexpr AlgEntry kAlgs[] = {
         {"ring", Alg::kRing},
@@ -273,19 +286,19 @@ registerAllReduceBenchmarks()
         {"overlapped_tree", Alg::kOverlappedTree},
         {"double_tree", Alg::kDoubleTree},
     };
-    static constexpr ModeEntry kModes[] = {
-        {"persistent", ccl::RankExecutor::Mode::kPersistent},
-        {"spawn", ccl::RankExecutor::Mode::kSpawnPerCall},
-        {"statemachine", ccl::RankExecutor::Mode::kStateMachine},
+    static constexpr ArmEntry kArms[] = {
+        {"persistent", Arm::kPersistent},
+        {"spawn", Arm::kSpawn},
+        {"statemachine", Arm::kStateMachine},
     };
     for (const AlgEntry& alg : kAlgs) {
-        for (const ModeEntry& mode : kModes) {
+        for (const ArmEntry& arm : kArms) {
             const std::string name = std::string("allreduce_latency/") +
-                                     alg.name + "/" + mode.name;
+                                     alg.name + "/" + arm.name;
             benchmark::RegisterBenchmark(
                 name.c_str(),
-                [alg, mode](benchmark::State& state) {
-                    runAllReduce(state, alg.alg, mode.mode);
+                [alg, arm](benchmark::State& state) {
+                    runAllReduce(state, alg.alg, arm.arm);
                 })
                 ->Arg(256)   // 1 KiB
                 ->Arg(4096)  // 16 KiB

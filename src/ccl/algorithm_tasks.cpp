@@ -19,39 +19,13 @@ using topo::PhaseDirection;
 using topo::Route;
 
 /**
- * Blocked-op disposition for the task classes: under Simple the task
- * parks on the mailbox semaphore (woken by the peer's post); under LL
- * no semaphore will ever be posted, so the task polls the abort epoch
- * (a dead peer still unwedges the batch via the watchdog) and asks to
- * be rescheduled.
- */
-StepStatus
-awaitArrival(StepContext& ctx, Mailbox& box, Protocol proto)
-{
-    if (proto == Protocol::kLL) {
-        abortPoll();
-        return StepStatus::kContinue;
-    }
-    return ctx.parkOnArrival(box);
-}
-
-StepStatus
-awaitFreeSlot(StepContext& ctx, Mailbox& box, Protocol proto)
-{
-    if (proto == Protocol::kLL) {
-        abortPoll();
-        return StepStatus::kContinue;
-    }
-    return ctx.parkOnFreeSlot(box);
-}
-
-/**
  * Trace span for resumable tasks. obs::ScopedSpan assumes a phase
  * runs start-to-finish on one OS thread; a task parks and migrates
  * across pool workers mid-phase, so the start stamp lives in task
  * state instead and one complete event is emitted at phase end with
- * explicit timestamps. Track 0 keeps every phase of a rank on a
- * single trace row regardless of which worker executed it.
+ * explicit timestamps, on the track StepContext::traceTrack names
+ * (on the pool, track 0 keeps every phase of a rank on a single trace
+ * row regardless of which worker executed it).
  */
 class PhaseSpan
 {
@@ -63,8 +37,11 @@ class PhaseSpan
         start_us_ = recorder.enabled() ? recorder.wallNowUs() : -1.0;
     }
 
+    /** Whether begin() stamped a start that end() has yet to emit. */
+    bool open() const { return start_us_ >= 0.0; }
+
     /** Emits the complete event; a no-op without a matching begin. */
-    void end(std::string_view name, int rank)
+    void end(const StepContext& ctx, std::string_view name, int rank)
     {
         if (start_us_ < 0.0)
             return;
@@ -72,7 +49,7 @@ class PhaseSpan
         if (recorder.enabled())
             recorder.completeEvent(name, "ccl.allreduce",
                                    obs::pids::cclRank(rank),
-                                   /*tid=*/0, start_us_,
+                                   ctx.traceTrack(), start_us_,
                                    recorder.wallNowUs() - start_us_);
         start_us_ = -1.0;
     }
@@ -100,8 +77,8 @@ class RingTask final : public RankTask
     {
         if (phase_ == RingPhase::kAllGather)
             state_ = St::kAgSend;
-        // Phase spans only for the full AllReduce, matching the
-        // thread body (the one-phase primitives trace nothing).
+        // Phase spans only for the full AllReduce (the one-phase
+        // primitives trace nothing).
         if (phase_ == RingPhase::kAllReduce)
             span_.begin();
     }
@@ -112,7 +89,7 @@ class RingTask final : public RankTask
             switch (state_) {
               case St::kRsSend: {
                 if (s_ >= p_ - 1) {
-                    finishReduceScatter();
+                    finishReduceScatter(ctx);
                     break;
                 }
                 const int chunk = (pos_ - s_ + p_) % p_;
@@ -130,7 +107,7 @@ class RingTask final : public RankTask
                         split_.slice(std::span<const float>(buffer_),
                                      chunk),
                         chunk, proto_))
-                    return awaitFreeSlot(ctx, to_next_, proto_);
+                    return ctx.awaitFreeSlot(to_next_, proto_);
                 op_begun_ = false;
                 state_ = St::kRsRecv;
                 break;
@@ -149,7 +126,7 @@ class RingTask final : public RankTask
                 int tag = -1;
                 if (!from_prev_.tryRecvReduce(
                         split_.slice(buffer_, chunk), &tag, proto_))
-                    return awaitArrival(ctx, from_prev_, proto_);
+                    return ctx.awaitArrival(from_prev_, proto_);
                 op_begun_ = false;
                 CCUBE_CHECK(tag == chunk,
                             "ring chunk out of sequence");
@@ -160,7 +137,7 @@ class RingTask final : public RankTask
               case St::kAgSend: {
                 if (s_ >= p_ - 1) {
                     if (phase_ == RingPhase::kAllReduce)
-                        span_.end("ring.allgather", rank());
+                        span_.end(ctx, "ring.allgather", rank());
                     state_ = St::kDone;
                     break;
                 }
@@ -177,7 +154,7 @@ class RingTask final : public RankTask
                         split_.slice(std::span<const float>(buffer_),
                                      chunk),
                         chunk, proto_))
-                    return awaitFreeSlot(ctx, to_next_, proto_);
+                    return ctx.awaitFreeSlot(to_next_, proto_);
                 op_begun_ = false;
                 state_ = St::kAgRecv;
                 break;
@@ -196,7 +173,7 @@ class RingTask final : public RankTask
                 int tag = -1;
                 if (!from_prev_.tryRecvInto(
                         split_.slice(buffer_, chunk), &tag, proto_))
-                    return awaitArrival(ctx, from_prev_, proto_);
+                    return ctx.awaitArrival(from_prev_, proto_);
                 op_begun_ = false;
                 CCUBE_CHECK(tag == chunk,
                             "ring chunk out of sequence");
@@ -215,17 +192,17 @@ class RingTask final : public RankTask
   private:
     enum class St { kRsSend, kRsRecv, kAgSend, kAgRecv, kDone };
 
-    void finishReduceScatter()
+    void finishReduceScatter(const StepContext& ctx)
     {
         if (phase_ == RingPhase::kReduceScatter) {
             state_ = St::kDone;
             return;
         }
         // This rank now owns the fully reduced chunk at ring position
-        // (pos+1) mod P — same completion point as the thread body.
+        // (pos+1) mod P — the first chunk available here.
         if (trace_ && !resume_.done((pos_ + 1) % p_))
             trace_->record(rank(), (pos_ + 1) % p_);
-        span_.end("ring.reduce_scatter", rank());
+        span_.end(ctx, "ring.reduce_scatter", rank());
         span_.begin();
         s_ = 0;
         state_ = St::kAgSend;
@@ -249,17 +226,17 @@ class RingTask final : public RankTask
 };
 
 /**
- * Resumable form of detail::treeRankBody and the one-direction tree
- * primitives. One task covers one pipeline of one rank:
+ * Tree AllReduce and the one-direction tree primitives. One task
+ * covers one pipeline of one rank:
  *   - Role::kReduce — the reduction pipeline (at the AllReduce root it
  *     also records completion and, depending on the phase mode, fans
  *     the reduced chunk out to the children inline or in a tail loop);
  *   - Role::kBroadcast — the broadcast pipeline (the root variant
  *     sends its own buffer down, the treeBroadcast primitive);
  *   - Role::kBoth — two-phase non-root: reduction chained into
- *     broadcast in the same task, matching the sequential thread body.
- * Overlapped non-root ranks get one kReduce and one kBroadcast task —
- * the state-machine analog of the pooled reducer + inline broadcaster.
+ *     broadcast in the same task, strictly one after the other.
+ * Overlapped non-root ranks get one kReduce and one kBroadcast task:
+ * the two pipelines run concurrently (paper §III-C).
  */
 class TreeTask final : public RankTask
 {
@@ -287,16 +264,17 @@ class TreeTask final : public RankTask
         /** Local chunk ids this tree still moves, in pipeline order —
          *  all of them on a fresh run, the not-yet-final subset on a
          *  supervised retry. Every rank derives the same list from the
-         *  same mask, so tags stay matched hop by hop. */
-        std::vector<int> chunks;
+         *  same mask, so tags stay matched hop by hop; one list is
+         *  shared by every task of the tree. */
+        std::shared_ptr<const std::vector<int>> chunks;
     };
 
     TreeTask(int rank, const char* label, Role role, Plan plan)
         : RankTask(rank, label), role_(role), plan_(std::move(plan))
     {
-        // Span placement mirrors detail::treeRankBody: the reduction
-        // and non-root broadcast pipelines each get a span; the
-        // two-phase root's tail fan-out (kRootSend) traces nothing.
+        // Span placement: the reduction and non-root broadcast
+        // pipelines each get a span; the two-phase root's tail fan-out
+        // (kRootSend) traces nothing.
         if (role_ == Role::kBroadcast) {
             state_ = plan_.is_root ? St::kRootSend : St::kBcastRecv;
             if (!plan_.is_root)
@@ -306,7 +284,7 @@ class TreeTask final : public RankTask
         }
         // Everything already final (a retry with a full checkpoint):
         // the pipeline has no chunks to move.
-        if (plan_.chunks.empty())
+        if (plan_.chunks->empty())
             state_ = St::kDone;
     }
 
@@ -329,7 +307,7 @@ class TreeTask final : public RankTask
                         state_ = St::kInlineBcast;
                         break;
                     }
-                    if (!advanceReduceChunk())
+                    if (!advanceReduceChunk(ctx))
                         break;
                     return StepStatus::kContinue;
                 }
@@ -342,7 +320,7 @@ class TreeTask final : public RankTask
                 if (!box.tryRecvReduce(
                         plan_.split.slice(plan_.buffer, chunkId()),
                         &tag, plan_.proto))
-                    return awaitArrival(ctx, box, plan_.proto);
+                    return ctx.awaitArrival(box, plan_.proto);
                 op_begun_ = false;
                 CCUBE_CHECK(tag == chunkId(),
                             "reduction chunk out of order");
@@ -356,10 +334,10 @@ class TreeTask final : public RankTask
                 }
                 if (!plan_.up_parent->trySend(constSlice(chunkId()),
                                               chunkId(), plan_.proto))
-                    return awaitFreeSlot(ctx, *plan_.up_parent,
-                                         plan_.proto);
+                    return ctx.awaitFreeSlot(*plan_.up_parent,
+                                             plan_.proto);
                 op_begun_ = false;
-                if (!advanceReduceChunk())
+                if (!advanceReduceChunk(ctx))
                     break;
                 return StepStatus::kContinue;
               }
@@ -368,7 +346,7 @@ class TreeTask final : public RankTask
                 // fully reduced, then the reduction pipeline resumes.
                 if (child_ >= plan_.down_children.size()) {
                     child_ = 0;
-                    if (!advanceReduceChunk())
+                    if (!advanceReduceChunk(ctx))
                         break;
                     return StepStatus::kContinue;
                 }
@@ -402,7 +380,7 @@ class TreeTask final : public RankTask
                 if (!box.tryRecvInto(
                         plan_.split.slice(plan_.buffer, chunkId()),
                         &tag, plan_.proto))
-                    return awaitArrival(ctx, box, plan_.proto);
+                    return ctx.awaitArrival(box, plan_.proto);
                 op_begun_ = false;
                 CCUBE_CHECK(tag == chunkId(),
                             "broadcast chunk out of order");
@@ -417,7 +395,7 @@ class TreeTask final : public RankTask
                     child_ = 0;
                     ++chunk_;
                     if (chunk_ >= activeCount()) {
-                        span_.end("tree.broadcast", rank());
+                        span_.end(ctx, "tree.broadcast", rank());
                         state_ = St::kDone;
                         break;
                     }
@@ -454,13 +432,13 @@ class TreeTask final : public RankTask
     /** Chunks this pipeline still moves (plan_.chunks entries). */
     int activeCount() const
     {
-        return static_cast<int>(plan_.chunks.size());
+        return static_cast<int>(plan_.chunks->size());
     }
 
     /** Local chunk id at pipeline position chunk_. */
     int chunkId() const
     {
-        return plan_.chunks[static_cast<std::size_t>(chunk_)];
+        return (*plan_.chunks)[static_cast<std::size_t>(chunk_)];
     }
 
     /** Sends chunk @p chunk to down_children[child_]; false = blocked
@@ -476,7 +454,7 @@ class TreeTask final : public RankTask
         }
         if (!box.trySend(constSlice(chunk), chunk, plan_.proto)) {
             const StepStatus blocked =
-                awaitFreeSlot(ctx, box, plan_.proto);
+                ctx.awaitFreeSlot(box, plan_.proto);
             if (blocked == StepStatus::kParked ||
                 plan_.proto == Protocol::kLL) {
                 blocked_status_ = blocked;
@@ -491,7 +469,7 @@ class TreeTask final : public RankTask
 
     /** Advances the reduction pipeline to the next chunk; returns
      *  false when the reduction is over (state_ already moved on). */
-    bool advanceReduceChunk()
+    bool advanceReduceChunk(const StepContext& ctx)
     {
         ++chunk_;
         if (chunk_ < activeCount()) {
@@ -500,7 +478,7 @@ class TreeTask final : public RankTask
         }
         chunk_ = 0;
         child_ = 0;
-        span_.end("tree.reduce", rank());
+        span_.end(ctx, "tree.reduce", rank());
         if (plan_.is_root && plan_.root_broadcasts &&
             plan_.mode == TreePhaseMode::kTwoPhase) {
             state_ = St::kRootSend;
@@ -527,9 +505,10 @@ class TreeTask final : public RankTask
 };
 
 /**
- * Resumable detour forwarder (the forwardLoop/forwardChunks helper
- * threads): peek the upstream chunk in place, send it downstream, then
- * release the upstream receive buffer — still zero staging copies.
+ * Detour forwarder — the software analog of the paper's static
+ * forwarding kernels (§IV-A): peek the upstream chunk in place, send
+ * it downstream, then release the upstream receive buffer — zero
+ * staging copies.
  */
 class ForwardTask final : public RankTask
 {
@@ -537,9 +516,8 @@ class ForwardTask final : public RankTask
     ForwardTask(int transit, int upstream, int downstream, Mailbox& in,
                 Mailbox& out, int num_chunks, Protocol proto)
         : RankTask(transit, "forward"), in_(in), out_(out),
-          num_chunks_(num_chunks), proto_(proto),
-          span_name_("tree.forward " + std::to_string(upstream) +
-                     "->" + std::to_string(downstream))
+          num_chunks_(num_chunks), proto_(proto), upstream_(upstream),
+          downstream_(downstream)
     {
         span_.begin();
     }
@@ -550,7 +528,12 @@ class ForwardTask final : public RankTask
             switch (state_) {
               case St::kAwaitChunk: {
                 if (chunk_ >= num_chunks_) {
-                    span_.end(span_name_, rank());
+                    if (span_.open())
+                        span_.end(ctx,
+                                  "tree.forward " +
+                                      std::to_string(upstream_) + "->" +
+                                      std::to_string(downstream_),
+                                  rank());
                     state_ = St::kDone;
                     break;
                 }
@@ -561,7 +544,7 @@ class ForwardTask final : public RankTask
                 std::span<const float> data;
                 int tag = -1;
                 if (!in_.tryPeek(&data, &tag, proto_))
-                    return awaitArrival(ctx, in_, proto_);
+                    return ctx.awaitArrival(in_, proto_);
                 state_ = St::kSendOn;
                 break;
               }
@@ -575,7 +558,7 @@ class ForwardTask final : public RankTask
                     out_begun_ = true;
                 }
                 if (!out_.trySend(data, tag, proto_))
-                    return awaitFreeSlot(ctx, out_, proto_);
+                    return ctx.awaitFreeSlot(out_, proto_);
                 in_.releaseFront();
                 in_begun_ = false;
                 out_begun_ = false;
@@ -601,7 +584,8 @@ class ForwardTask final : public RankTask
     int chunk_ = 0;
     bool in_begun_ = false;
     bool out_begun_ = false;
-    const std::string span_name_;
+    const int upstream_;
+    const int downstream_;
     PhaseSpan span_;
 };
 
@@ -635,6 +619,7 @@ buildRingTasks(Communicator& comm, RankBuffers& buffers,
             split, comm.mailbox(rank, next, kFlowRing),
             comm.mailbox(prev, rank, kFlowRing), phase, trace,
             proto, resume));
+        tasks.back()->setMain(true);
     }
     return tasks;
 }
@@ -660,15 +645,15 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
     // Every rank (and every forwarder) derives the same list from the
     // same global mask, so the pipelines stay in lockstep and tags
     // match hop by hop even when a retry skips finished chunks.
-    std::vector<int> active;
-    active.reserve(static_cast<std::size_t>(num_chunks));
+    auto active = std::make_shared<std::vector<int>>();
+    active->reserve(static_cast<std::size_t>(num_chunks));
     for (int c = 0; c < num_chunks; ++c)
         if (!resume.done(chunk_id_offset + c))
-            active.push_back(c);
-    const int active_count = static_cast<int>(active.size());
+            active->push_back(c);
+    const int active_count = static_cast<int>(active->size());
 
     // Detour forwarders of this tree, filtered to the direction(s) in
-    // play — the task analog of submitForwarders / the helpers group.
+    // play, each its own task on the transit rank.
     for (const topo::ForwardingRule& rule :
          topo::cachedForwardingRules(embedding, /*tree_index=*/0)) {
         const bool reduction =
@@ -683,6 +668,16 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
             comm.mailbox(rule.transit, rule.downstream, flow),
             active_count, proto));
     }
+
+    // Route of every node's edge from its parent, indexed by node,
+    // resolved in one pass over the embedding (routeToChild rescans
+    // every edge per lookup). A route runs parent → child, so its last
+    // hop names the child.
+    std::vector<const Route*> route_from_parent(
+        static_cast<std::size_t>(p), nullptr);
+    for (const Route& route : embedding.routes)
+        route_from_parent[static_cast<std::size_t>(route.hops.back())] =
+            &route;
 
     for (int rank = 0; rank < p; ++rank) {
         TreeTask::Plan plan(
@@ -700,7 +695,8 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
         plan.chunks = active;
 
         if (!plan.is_root) {
-            const Route& route = embedding.routeToChild(rank);
+            const Route& route =
+                *route_from_parent[static_cast<std::size_t>(rank)];
             const NodeId parent_hop =
                 route.hops[route.hops.size() - 2];
             if (want_reduce)
@@ -711,7 +707,9 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
                                                  flows.broadcast);
         }
         for (NodeId child : tree.children(rank)) {
-            const NodeId hop = embedding.routeToChild(child).hops[1];
+            const NodeId hop =
+                route_from_parent[static_cast<std::size_t>(child)]
+                    ->hops[1];
             if (want_reduce)
                 plan.up_children.push_back(
                     &comm.mailbox(hop, rank, flows.reduce));
@@ -742,9 +740,18 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
                     std::move(plan)));
             } else {
                 // Overlapped non-root: concurrent reducer and
-                // broadcaster pipelines, one task each (the thread
-                // mode's pooled reducer + inline broadcaster).
-                TreeTask::Plan bcast_plan = plan;
+                // broadcaster pipelines, one task each, each with only
+                // its own direction's mailboxes (no plan copy: every
+                // call builds its tasks on the calling thread).
+                TreeTask::Plan bcast_plan(plan.buffer, plan.split);
+                bcast_plan.mode = mode;
+                bcast_plan.down_parent = plan.down_parent;
+                bcast_plan.down_children =
+                    std::move(plan.down_children);
+                bcast_plan.trace = plan.trace;
+                bcast_plan.chunk_offset = chunk_id_offset;
+                bcast_plan.proto = proto;
+                bcast_plan.chunks = plan.chunks;
                 out.push_back(std::make_unique<TreeTask>(
                     rank, "reduce", TreeTask::Role::kReduce,
                     std::move(plan)));
@@ -754,6 +761,9 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
             }
             break;
         }
+        // The rank's pipeline task (the broadcaster when overlapped;
+        // the reducer is a helper beside it) is appended last.
+        out.back()->setMain(true);
     }
 }
 
@@ -775,6 +785,10 @@ buildDoubleTreeTasks(Communicator& comm, RankBuffers& buffers,
                     TreeFlowIds{kFlowTree0Reduce, kFlowTree0Broadcast},
                     TreeDirection::kAllReduce, &trace,
                     /*chunk_id_offset=*/0, "tree0", proto, resume);
+    // One main pipeline per rank: its tree1 pipeline. Every tree0 task
+    // runs beside it on a helper.
+    for (std::unique_ptr<RankTask>& task : tasks)
+        task->setMain(false);
     appendTreeTasks(tasks, comm, buffers, embedding.tree1,
                     /*region_offset=*/half, total - half, split1, mode,
                     TreeFlowIds{kFlowTree1Reduce, kFlowTree1Broadcast},

@@ -3,29 +3,32 @@
 
 /**
  * @file
- * RankTask builders for the collective algorithms — the resumable
- * (state-machine) form of the per-rank bodies in primitives.cpp,
- * ring_allreduce.cpp, tree_allreduce.cpp and double_tree_allreduce.cpp.
+ * RankTask builders for the collective algorithms — the one encoding
+ * of every functional collective. ringAllReduce, treeAllReduce,
+ * doubleTreeAllReduce and the primitives build these task sets and
+ * hand them to Communicator::runTasks, which runs them on whichever
+ * engine the communicator was created with: the shared state-machine
+ * pool (StateMachineEngine) or one dedicated thread per task
+ * (RankExecutor::runTasks).
  *
  * Every builder constructs the complete task set of one collective up
  * front: one task per rank role (ring body; tree reducer/broadcaster;
  * the second tree of a double tree) plus one ForwardTask per detour
- * forwarding rule — the state-machine analog of the helper threads
- * thread-per-rank mode submits. Mailbox plans are resolved at build
- * time, exactly like the thread bodies hoist them before the chunk
- * loop.
+ * forwarding rule. Mailbox plans are resolved at build time, so the
+ * chunk loops do no registry lookups at all (the analog of the paper
+ * compiling its data-movement plan into the persistent kernel).
  *
- * Protocol fidelity: each task performs the same mailbox operations in
- * the same per-rank order as its blocking counterpart (same Fig. 11
- * post/wait sequence, same reduction order over children, same chunk
- * tags), so float results are byte-identical across engine modes and
- * FaultInjector at-op indices keep their thread-mode meaning.
+ * Protocol fidelity: each rank performs its mailbox operations in one
+ * fixed order per pipeline (same Fig. 11 post/wait sequence, same
+ * reduction order over children, same chunk tags) on either engine,
+ * so float results are byte-identical across engines and protocols,
+ * and FaultInjector at-op indices mean the same thing everywhere.
  *
  * Wire protocol: every builder takes a ccl::Protocol. Under kLL the
  * mailbox never posts a semaphore, so a task cannot park on one — a
- * failed LL try* op polls the abort epoch and returns kContinue
- * (cooperative spinning across the pool) instead of registering a
- * waiter that would never be woken.
+ * failed LL try* op polls its flag (StepContext::awaitArrival /
+ * awaitFreeSlot take the protocol) instead of registering a waiter
+ * that would never be woken.
  */
 
 #include <memory>

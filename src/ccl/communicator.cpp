@@ -74,8 +74,7 @@ RankExecutor&
 Communicator::executor()
 {
     std::call_once(executor_once_, [this]() {
-        executor_ =
-            std::make_unique<RankExecutor>(num_ranks_, exec_mode_);
+        executor_ = std::make_unique<RankExecutor>(num_ranks_);
     });
     return *executor_;
 }
@@ -222,11 +221,14 @@ Communicator::runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
                        const char* op, Protocol proto)
 {
     noteProtocol(proto);
-    // The engine installs the fault context itself around every step
-    // (tasks migrate across pool workers, so a thread-scoped guard
-    // here would cover the wrong threads).
+    // Either engine installs the fault context itself: the pool around
+    // every step (tasks migrate across workers), the executor on every
+    // thread it drives a task on.
     runEnvelope(op, [this, &tasks]() {
-        StateMachineEngine::shared().run(std::move(tasks), &fault_);
+        if (exec_mode_ == RankExecutor::Mode::kStateMachine)
+            StateMachineEngine::shared().run(std::move(tasks), &fault_);
+        else
+            executor().runTasks(std::move(tasks), &fault_);
     });
 }
 

@@ -6,8 +6,11 @@
  * Communicator: the rank/"GPU" execution context of the functional
  * collective library.
  *
- * One persistent thread per rank plays the role of one GPU running
- * persistent kernels (see ccl/executor.h); mailboxes play the role of
+ * Each rank's collective program — a set of resumable RankTasks
+ * (ccl/algorithm_tasks.h) — plays the role of one GPU running
+ * persistent kernels, executed either on parked per-rank threads
+ * (ccl/executor.h) or on a shared task pool (ccl/state_machine.h);
+ * mailboxes play the role of
  * NVLink P2P receive buffers. Mailboxes are keyed by (src, dst, flow)
  * because one physical link may carry several logical flows (e.g. the
  * two trees of a double tree, or a detour passing through a transit
@@ -67,8 +70,8 @@ class Communicator
     /**
      * Creates a communicator of @p num_ranks ranks whose mailboxes
      * have @p mailbox_slots receive buffers each. @p exec_mode selects
-     * the execution engine (persistent parked threads by default; the
-     * legacy spawn-per-collective mode exists for A/B benchmarking).
+     * the execution engine (persistent parked threads by default, or
+     * the shared state-machine pool).
      */
     explicit Communicator(int num_ranks, int mailbox_slots = 4,
                           RankExecutor::Mode exec_mode =
@@ -97,8 +100,8 @@ class Communicator
     /**
      * Runs @p body concurrently on every rank — enqueued into the
      * executor's persistent rank threads — and waits for all of them.
-     * Nested helper roles (forwarding kernels, the overlapped reducer,
-     * the second tree) go through executor().submit().
+     * Extra per-rank threads go through executor().submit(). The
+     * collectives themselves use runTasks().
      *
      * @p op names the collective for watchdog/abort attribution (a
      * string literal; stored by pointer). When a deadline is set (see
@@ -119,17 +122,19 @@ class Communicator
              Protocol proto = Protocol::kSimple);
 
     /**
-     * Execution engine this communicator was created with. The
-     * collective algorithms branch on it: Mode::kStateMachine routes
-     * them through runTasks() instead of run().
+     * Execution engine this communicator was created with; runTasks()
+     * is where it takes effect.
      */
     RankExecutor::Mode engineMode() const { return exec_mode_; }
 
     /**
-     * State-machine counterpart of run(): drives @p tasks to
-     * completion on the shared StateMachineEngine pool, under the same
-     * envelope as run() — poison check, watchdog arm/disarm, monitor
-     * collective edge, abort-wins error surfacing. @p op as in run().
+     * Runs one collective: drives @p tasks to completion on this
+     * communicator's engine — the executor's threads
+     * (RankExecutor::runTasks) or the shared StateMachineEngine pool
+     * (Mode::kStateMachine) — under the same envelope as run():
+     * poison check, watchdog arm/disarm, monitor collective edge,
+     * abort-wins error surfacing. Every collective entry point goes
+     * through here. @p op and @p proto as in run().
      */
     void runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
                   const char* op = "collective",

@@ -1,10 +1,6 @@
 #include "ccl/double_tree_allreduce.h"
 
-#include <span>
-#include <string>
-
 #include "ccl/algorithm_tasks.h"
-#include "obs/context.h"
 #include "util/logging.h"
 
 namespace ccube {
@@ -38,37 +34,10 @@ doubleTreeAllReduce(Communicator& comm, RankBuffers& buffers,
     AllReduceTrace trace(p);
     trace.setObserver(std::move(observer));
 
-    if (comm.engineMode() == RankExecutor::Mode::kStateMachine) {
-        comm.runTasks(buildDoubleTreeTasks(comm, buffers, embedding,
-                                           chunks_per_tree, mode,
-                                           trace, proto, resume),
-                      "double_tree_allreduce", proto);
-        return trace;
-    }
-
-    const ChunkSplit split0(half, chunks_per_tree);
-    const ChunkSplit split1(total - half, chunks_per_tree);
-    const TreeFlowIds flows0{kFlowTree0Reduce, kFlowTree0Broadcast};
-    const TreeFlowIds flows1{kFlowTree1Reduce, kFlowTree1Broadcast};
-
-    comm.run([&](int rank) {
-        std::span<float> buffer(buffers[static_cast<std::size_t>(rank)]);
-        std::span<float> lower = buffer.subspan(0, half);
-        std::span<float> upper = buffer.subspan(half);
-        // Each tree's pipeline runs as its own persistent kernel: the
-        // second tree on a pooled helper, the first inline.
-        RankExecutor::Group second;
-        comm.executor().submit(second, rank, "tree1", [&, rank]() {
-            detail::treeRankBody(comm, rank, upper, embedding.tree1,
-                                 split1, mode, flows1, trace,
-                                 /*chunk_id_offset=*/chunks_per_tree,
-                                 proto, resume);
-        });
-        detail::treeRankBody(comm, rank, lower, embedding.tree0, split0,
-                             mode, flows0, trace, /*chunk_id_offset=*/0,
-                             proto, resume);
-        second.wait();
-    }, "double_tree_allreduce", proto);
+    comm.runTasks(buildDoubleTreeTasks(comm, buffers, embedding,
+                                       chunks_per_tree, mode, trace,
+                                       proto, resume),
+                  "double_tree_allreduce", proto);
     return trace;
 }
 

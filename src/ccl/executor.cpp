@@ -4,10 +4,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include "ccl/fault.h"
+#include "ccl/state_machine.h"
 #include "obs/context.h"
 #include "util/logging.h"
 
@@ -68,16 +70,25 @@ struct RankExecutor::RunState {
 RankExecutor::Mode
 RankExecutor::defaultMode()
 {
-    static const Mode mode = []() {
-        const char* env = std::getenv("CCUBE_CCL_EXECUTOR");
-        if (env && std::strcmp(env, "spawn") == 0)
-            return Mode::kSpawnPerCall;
-        if (env && (std::strcmp(env, "statemachine") == 0 ||
-                    std::strcmp(env, "sm") == 0))
-            return Mode::kStateMachine;
-        return Mode::kPersistent;
-    }();
+    static const Mode mode =
+        parseMode(std::getenv("CCUBE_CCL_EXECUTOR"));
     return mode;
+}
+
+RankExecutor::Mode
+RankExecutor::parseMode(const char* name)
+{
+    if (name == nullptr || *name == '\0')
+        return Mode::kPersistent;
+    if (std::strcmp(name, "statemachine") == 0 ||
+        std::strcmp(name, "sm") == 0)
+        return Mode::kStateMachine;
+    util::logWarn("ccl", std::string("unknown CCUBE_CCL_EXECUTOR "
+                                     "value '") +
+                             name +
+                             "' (accepted: statemachine, sm, or "
+                             "unset); using the persistent engine");
+    return Mode::kPersistent;
 }
 
 RankExecutor::Group::~Group()
@@ -103,18 +114,12 @@ RankExecutor::Group::wait()
     }
 }
 
-RankExecutor::RankExecutor(int num_ranks, Mode mode)
+RankExecutor::RankExecutor(int num_ranks)
     : num_ranks_(num_ranks),
-      mode_(mode),
       free_helpers_(static_cast<std::size_t>(num_ranks)),
       busy_helpers_(static_cast<std::size_t>(num_ranks), 0)
 {
     CCUBE_CHECK(num_ranks >= 1, "executor needs at least one rank");
-    // kStateMachine routes collectives through the shared task engine
-    // before they ever reach run(); legacy blocking callers that still
-    // land here get the persistent-thread treatment.
-    if (mode_ == Mode::kSpawnPerCall)
-        return;
     mains_.reserve(static_cast<std::size_t>(num_ranks));
     for (int r = 0; r < num_ranks; ++r) {
         mains_.push_back(std::make_unique<Worker>(*this, r));
@@ -213,22 +218,76 @@ RankExecutor::run(const std::function<void(int rank)>& body)
         };
     };
 
-    if (mode_ != Mode::kSpawnPerCall) {
-        for (int r = 0; r < num_ranks_; ++r)
-            dispatch(*mains_[static_cast<std::size_t>(r)], makeTask(r));
-    } else {
-        // Legacy path, kept for A/B benchmarking: fresh threads per
-        // collective, the very cost the persistent mode amortizes.
-        for (int r = 0; r < num_ranks_; ++r) {
-            std::thread(makeTask(r)).detach();
-            tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
+    for (int r = 0; r < num_ranks_; ++r)
+        dispatch(*mains_[static_cast<std::size_t>(r)], makeTask(r));
 
     std::unique_lock<std::mutex> lock(state.mutex);
     state.cv.wait(lock, [&]() { return state.remaining == 0; });
     if (state.error)
         std::rethrow_exception(state.error);
+}
+
+void
+RankExecutor::runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
+                       CommFaultContext* fault)
+{
+    // Group the tasks by rank on this thread, which just built them
+    // and still has them in cache: rank r's slice of `order` is
+    // [first[r], first[r+1]), its main pipeline first, then the rest
+    // in build order. A rank thread then reads only its own slice
+    // instead of scanning every task of the collective.
+    std::vector<int> first(static_cast<std::size_t>(num_ranks_) + 1, 0);
+    for (const std::unique_ptr<RankTask>& task : tasks) {
+        CCUBE_CHECK(task->rank() >= 0 && task->rank() < num_ranks_,
+                    "task for bad rank " << task->rank());
+        ++first[static_cast<std::size_t>(task->rank()) + 1];
+    }
+    for (std::size_t r = 0; r < static_cast<std::size_t>(num_ranks_); ++r)
+        first[r + 1] += first[r];
+    std::vector<RankTask*> order(tasks.size(), nullptr);
+    for (const std::unique_ptr<RankTask>& task : tasks) {
+        if (!task->isMain())
+            continue;
+        RankTask*& slot =
+            order[static_cast<std::size_t>(first[static_cast<std::size_t>(
+                task->rank())])];
+        CCUBE_CHECK(slot == nullptr,
+                    "rank " << task->rank() << " has two main pipelines");
+        slot = task.get();
+    }
+    std::vector<int> next(first.begin(), first.end() - 1);
+    for (std::size_t r = 0; r < next.size(); ++r) {
+        if (first[r] == first[r + 1])
+            continue;
+        CCUBE_CHECK(order[static_cast<std::size_t>(first[r])] != nullptr,
+                    "rank " << r << " has no main pipeline");
+        ++next[r];
+    }
+    for (const std::unique_ptr<RankTask>& task : tasks)
+        if (!task->isMain())
+            order[static_cast<std::size_t>(
+                next[static_cast<std::size_t>(task->rank())]++)] =
+                task.get();
+
+    run([this, &order, &first, fault](int rank) {
+        const int begin = first[static_cast<std::size_t>(rank)];
+        const int end = first[static_cast<std::size_t>(rank) + 1];
+        if (begin == end)
+            return;
+        // Helpers inherit this context through submit().
+        ScopedFaultContext fault_scope(fault);
+        // Declared before the main task runs: if it throws (abort), the
+        // group's destructor joins the helpers before the tasks they
+        // drive can be freed.
+        Group helpers;
+        for (int i = begin + 1; i < end; ++i) {
+            RankTask* task = order[static_cast<std::size_t>(i)];
+            submit(helpers, rank, task->role(),
+                   [task]() { task->runToCompletion(); });
+        }
+        order[static_cast<std::size_t>(begin)]->runToCompletion();
+        helpers.wait();
+    });
 }
 
 RankExecutor::Worker&
@@ -287,46 +346,26 @@ RankExecutor::submit(Group& group, int rank, const char* role,
             group.cv_.notify_all();
     };
 
-    if (mode_ != Mode::kSpawnPerCall) {
-        Worker& worker = acquireHelper(rank);
-        dispatch(worker, [this, &worker, rank, role, fn = std::move(fn),
-                          finish, fault_ctx]() {
-            obs::setThreadRank(rank);
-            ScopedFaultContext fault_scope(fault_ctx);
-            char label[32];
-            formatRole(label, sizeof(label), rank, role);
-            obs::labelThread(label);
-            obs::RankCounters::global().addExecutorTask();
-            std::exception_ptr err;
-            try {
-                fn();
-            } catch (...) {
-                err = std::current_exception();
-            }
-            // Return to the pool before releasing the waiter so a
-            // follow-up collective finds this thread free (no growth).
-            releaseHelper(worker);
-            finish(err);
-        });
-    } else {
-        std::thread([rank, role, fn = std::move(fn), finish,
-                     fault_ctx]() {
-            obs::setThreadRank(rank);
-            ScopedFaultContext fault_scope(fault_ctx);
-            char label[32];
-            formatRole(label, sizeof(label), rank, role);
-            obs::labelThread(label);
-            obs::RankCounters::global().addExecutorTask();
-            std::exception_ptr err;
-            try {
-                fn();
-            } catch (...) {
-                err = std::current_exception();
-            }
-            finish(err);
-        }).detach();
-        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    Worker& worker = acquireHelper(rank);
+    dispatch(worker, [this, &worker, rank, role, fn = std::move(fn),
+                      finish, fault_ctx]() {
+        obs::setThreadRank(rank);
+        ScopedFaultContext fault_scope(fault_ctx);
+        char label[32];
+        formatRole(label, sizeof(label), rank, role);
+        obs::labelThread(label);
+        obs::RankCounters::global().addExecutorTask();
+        std::exception_ptr err;
+        try {
+            fn();
+        } catch (...) {
+            err = std::current_exception();
+        }
+        // Return to the pool before releasing the waiter so a
+        // follow-up collective finds this thread free (no growth).
+        releaseHelper(worker);
+        finish(err);
+    });
 }
 
 int

@@ -17,12 +17,15 @@
  * double tree); collectives enqueue closures into the already-running
  * threads instead of spawning.
  *
- * A third strategy lives in ccl/state_machine.h: instead of a thread
- * per rank, each rank body is compiled into a resumable RankTask and
- * multiplexed onto a small shared worker pool — the mode that scales
- * the functional runtime to P=512–1024. Selecting it here
- * (Mode::kStateMachine) makes the collective algorithms build task
- * sets; legacy run()/submit() callers still get persistent threads.
+ * Every collective is one set of resumable RankTasks
+ * (ccl/algorithm_tasks.h). runTasks() gives each task a thread here:
+ * a rank's main pipeline runs on its parked main thread, every other
+ * task of the rank (the other tree, the overlapped reducer, detour
+ * forwarders) on a pooled helper. The other engine, ccl/state_machine.h,
+ * multiplexes the same tasks onto a small shared worker pool — the
+ * engine that scales the functional runtime to P=512–1024. Selecting
+ * it (Mode::kStateMachine) routes a communicator's collectives there;
+ * run()/submit() callers still get persistent threads.
  *
  * Along with state_machine.cpp, this is one of the only two
  * translation units in src/ccl/ allowed to construct std::thread.
@@ -41,6 +44,9 @@
 namespace ccube {
 namespace ccl {
 
+class CommFaultContext;
+class RankTask;
+
 /**
  * One parked worker thread per rank plus an elastic-but-persistent
  * helper pool per rank. Thread-safe: run() is called from one external
@@ -50,20 +56,25 @@ namespace ccl {
 class RankExecutor
 {
   public:
-    /** Execution strategy; kSpawnPerCall keeps the legacy behaviour
-     *  for A/B benchmarking. */
+    /** Execution engine of a communicator's collectives. */
     enum class Mode {
         kPersistent,   ///< parked threads, reused across collectives
-        kSpawnPerCall, ///< legacy: construct/join threads per call
         kStateMachine, ///< resumable rank tasks on a shared pool
     };
 
     /**
-     * Default mode: kPersistent, unless the environment variable
-     * CCUBE_CCL_EXECUTOR is set to "spawn" or to
-     * "statemachine"/"sm" (read once per process).
+     * Default mode: parseMode($CCUBE_CCL_EXECUTOR), read once per
+     * process.
      */
     static Mode defaultMode();
+
+    /**
+     * Engine named by @p name: "statemachine" or "sm" select
+     * kStateMachine; null or empty (the variable unset) selects
+     * kPersistent. Any other name logs a warning listing the accepted
+     * values and falls back to kPersistent.
+     */
+    static Mode parseMode(const char* name);
 
     /**
      * Completion tracker for a batch of helper tasks submitted by one
@@ -95,11 +106,11 @@ class RankExecutor
     };
 
     /**
-     * Creates the executor for @p num_ranks ranks. In persistent mode
-     * the rank threads start parked immediately; helper threads are
-     * created on first demand and then reused forever.
+     * Creates the executor for @p num_ranks ranks. The rank threads
+     * start parked immediately; helper threads are created on first
+     * demand and then reused forever.
      */
-    explicit RankExecutor(int num_ranks, Mode mode = defaultMode());
+    explicit RankExecutor(int num_ranks);
 
     /** Stops and joins every owned thread. */
     ~RankExecutor();
@@ -110,9 +121,6 @@ class RankExecutor
     /** Number of ranks. */
     int numRanks() const { return num_ranks_; }
 
-    /** Execution strategy in use. */
-    Mode mode() const { return mode_; }
-
     /**
      * Runs @p body concurrently on every rank's persistent thread and
      * waits for all of them. Rethrows the first exception thrown by
@@ -120,6 +128,17 @@ class RankExecutor
      * stays usable afterwards.
      */
     void run(const std::function<void(int rank)>& body);
+
+    /**
+     * Runs @p tasks to completion, one thread each: every rank's main
+     * pipeline (the one task its builder marked, RankTask::isMain) on
+     * the rank's parked main thread, every other task of that rank on
+     * a pooled helper, each driven by RankTask::runToCompletion with
+     * @p fault installed. Rethrows the first exception any task threw,
+     * after every task has finished (like run()).
+     */
+    void runTasks(std::vector<std::unique_ptr<RankTask>> tasks,
+                  CommFaultContext* fault);
 
     /**
      * Enqueues @p fn onto a pooled helper thread attributed to
@@ -157,9 +176,8 @@ class RankExecutor
     void workerLoop(Worker& worker);
 
     const int num_ranks_;
-    const Mode mode_;
 
-    /** Rank main workers, index = rank (persistent mode only). */
+    /** Rank main workers, index = rank. */
     std::vector<std::unique_ptr<Worker>> mains_;
 
     /** Helper pool, all ranks (guarded by pool_mutex_). */

@@ -326,11 +326,7 @@ Mailbox::llWaitHeader()
 
     LLSlot& slot = ll_ring_[static_cast<std::size_t>(
         ll_wait_seq_ % static_cast<std::int64_t>(ring_.size()))];
-    const std::uint32_t flag = llFlag(ll_wait_seq_);
-    const auto arrived = [&] {
-        return llLineFlag(slot.header.load(
-                   std::memory_order_acquire)) == flag;
-    };
+    const auto arrived = [this] { return llReady(OpKind::kRecv); };
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (recorder.enabled()) {
         obs::ScopedSpan span(recorder, "wait " + trace_label_,
@@ -589,6 +585,29 @@ Mailbox::tryPeek(std::span<const float>* data, int* tag,
     if (tag != nullptr)
         *tag = slot.tag;
     return true;
+}
+
+void
+Mailbox::llAwait(OpKind kind)
+{
+    CommFaultContext* fault = CommFaultContext::current();
+    if (fault != nullptr)
+        fault->noteWaitBegin(trace_label_.c_str(), flow_,
+                             kind == OpKind::kSend ? dst_ : src_);
+    llSpinUntil([this, kind] { return llReady(kind); });
+    if (fault != nullptr)
+        fault->noteWaitEnd();
+}
+
+bool
+Mailbox::llReady(OpKind kind) const
+{
+    if (kind == OpKind::kSend)
+        return llSlotFree();
+    const LLSlot& slot = ll_ring_[static_cast<std::size_t>(
+        ll_wait_seq_ % static_cast<std::int64_t>(ring_.size()))];
+    return llLineFlag(slot.header.load(std::memory_order_acquire)) ==
+           llFlag(ll_wait_seq_);
 }
 
 void

@@ -19,16 +19,16 @@
  *
  * Two calling conventions share one ring:
  *
- *  - Blocking (thread-per-rank): send(), the recv variants and
- *    consume() spin in the Fig. 11 post/wait protocol, one dedicated
- *    thread per rank.
- *  - Non-blocking (state-machine runtime): a resumable rank task calls
- *    noteOpBegin() once per logical op (fault injection + telemetry,
- *    exactly like the blocking prologue), then retries trySend()/
- *    tryRecv*() and *parks* on arrivalSemaphore()/freeSlotSemaphore()
- *    when the ring says not-yet. tryPeek()/releaseFront() let a
- *    forwarder hold the front slot zero-copy while it waits for
- *    downstream capacity.
+ *  - Blocking: send(), the recv variants and consume() spin in the
+ *    Fig. 11 post/wait protocol on the calling thread.
+ *  - Non-blocking (every collective, on either engine): a resumable
+ *    rank task calls noteOpBegin() once per logical op (fault
+ *    injection + telemetry, exactly like the blocking prologue), then
+ *    retries trySend()/tryRecv*() and, when the ring says not-yet,
+ *    parks on arrivalSemaphore()/freeSlotSemaphore() (state-machine
+ *    pool) or waits on it inline (a dedicated executor thread).
+ *    tryPeek()/releaseFront() let a forwarder hold the front slot
+ *    zero-copy while it waits for downstream capacity.
  *
  * Protocols (ccl/protocol.h): every transfer op takes a Protocol.
  * kSimple (the default) is the fenced bulk path above. kLL switches
@@ -41,7 +41,7 @@
  * behave identically on both paths — but an LL message can only be
  * received by an LL op (the protocol is a property of the collective,
  * not negotiated per message). LL ops never touch arrival/free-slot
- * semaphores, so state-machine tasks poll instead of parking.
+ * semaphores, so rank tasks poll instead of parking or waiting.
  */
 
 #include <atomic>
@@ -136,9 +136,9 @@ class Mailbox
      * The blocking prologue, split out for the non-blocking path:
      * runs the fault injector hook (may throw RankKilled, or block a
      * worker in an injected stall) and counts the op in the per-rank
-     * telemetry. A state-machine task calls this exactly once per
-     * *logical* op — before its first try* attempt — so injector
-     * at-op indices line up with thread-per-rank runs.
+     * telemetry. A rank task calls this exactly once per *logical*
+     * op — before its first try* attempt — so injector at-op indices
+     * count logical ops, as with the blocking calls.
      */
     void noteOpBegin(OpKind kind);
 
@@ -180,6 +180,16 @@ class Mailbox
 
     /** Frees the receive buffer claimed by tryPeek(). */
     void releaseFront();
+
+    /**
+     * Blocks until a failed LL op of @p kind could succeed: the front
+     * LL message's header has landed (kRecv, consumer thread only) or
+     * an LL slot is free (kSend, producer thread only). The LL
+     * counterpart of BoundedSemaphore::waitNonzero, with the blocking
+     * LL ops' accounting: wait site published, the spin charged to
+     * ll_spin_ns, abort epoch polled. The caller then retries its op.
+     */
+    void llAwait(OpKind kind);
 
     /** Arrival semaphore (consumer side parks here on empty ring). */
     BoundedSemaphore& arrivalSemaphore() { return full_; }
@@ -279,6 +289,10 @@ class Mailbox
     {
         return static_cast<std::uint32_t>(seq) + 1u;
     }
+
+    /** Whether a failed LL op of @p kind could now succeed (see
+     *  llAwait). */
+    bool llReady(OpKind kind) const;
 
     /** True while the producer's next LL slot is free to overwrite. */
     bool llSlotFree() const

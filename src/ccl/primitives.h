@@ -22,7 +22,7 @@ namespace ccl {
 /**
  * Pipelined tree broadcast: the root's buffer is sent down the tree
  * in @p num_chunks chunks; on return every rank's buffer equals the
- * root's. Detour edges are serviced by forwarding threads.
+ * root's. Detour edges are serviced by forwarding tasks.
  */
 void treeBroadcast(Communicator& comm, RankBuffers& buffers,
                    const topo::TreeEmbedding& embedding, int num_chunks,

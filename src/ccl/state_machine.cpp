@@ -28,6 +28,21 @@ steadyNowNs()
             .count());
 }
 
+/**
+ * A failed LL op of @p kind on @p box: requeue a pool task (after an
+ * abort check), or wait inline on the LL flag like the blocking LL
+ * ops.
+ */
+StepStatus
+pollLL(bool pooled, Mailbox& box, Mailbox::OpKind kind)
+{
+    if (pooled)
+        abortPoll();
+    else
+        box.llAwait(kind);
+    return StepStatus::kContinue;
+}
+
 } // namespace
 
 /**
@@ -268,7 +283,7 @@ StateMachineEngine::runTask(RankTask& task, int worker, bool stolen)
         // machine analog of the bounded spins' periodic abortPoll.
         abortPoll();
         steps_.fetch_add(1, std::memory_order_relaxed);
-        StepContext ctx(*this, task);
+        StepContext ctx(this, task);
         obs::ScopedProfPhase prof(obs::ProfPhase::kStep, task.rank());
         status = task.step(ctx);
     } catch (...) {
@@ -360,18 +375,35 @@ StateMachineEngine::run(std::vector<std::unique_ptr<RankTask>> tasks,
         std::rethrow_exception(batch.error);
 }
 
-StepStatus
-StepContext::parkOnArrival(Mailbox& box)
+void
+RankTask::runToCompletion()
 {
+    // Every blocked op waits inline, so step() only ever returns
+    // kContinue (progress made, or the awaited chunk/slot is there)
+    // until the protocol is done.
+    StepContext ctx(nullptr, *this);
+    while (step(ctx) != StepStatus::kDone) {
+    }
+}
+
+StepStatus
+StepContext::awaitArrival(Mailbox& box, Protocol proto)
+{
+    if (proto == Protocol::kLL)
+        return pollLL(engine_ != nullptr, box, Mailbox::OpKind::kRecv);
     // Waiting on a chunk arrival = waiting on the producer rank.
     return parkOn(box.arrivalSemaphore(), box.traceLabel().c_str(),
                   box.flowId(), box.srcRank());
 }
 
 StepStatus
-StepContext::parkOnFreeSlot(Mailbox& box)
+StepContext::awaitFreeSlot(Mailbox& box, Protocol proto)
 {
+    if (proto == Protocol::kLL)
+        return pollLL(engine_ != nullptr, box, Mailbox::OpKind::kSend);
     // Waiting on a free receive buffer = waiting on the consumer.
+    if (engine_ == nullptr)
+        obs::RankCounters::global().addSlotFullStall();
     return parkOn(box.freeSlotSemaphore(), box.traceLabel().c_str(),
                   box.flowId(), box.dstRank());
 }
@@ -380,12 +412,24 @@ StepStatus
 StepContext::parkOn(BoundedSemaphore& sem, const char* label, int flow,
                     int peer)
 {
+    if (engine_ == nullptr) {
+        // A dedicated thread blocks as BoundedSemaphore::wait() does,
+        // then retries the op.
+        obs::ScopedProfPhase prof(obs::ProfPhase::kMailboxWait);
+        CommFaultContext* fault = CommFaultContext::current();
+        if (fault != nullptr)
+            fault->noteWaitBegin(label, flow, peer);
+        sem.waitNonzero();
+        if (fault != nullptr)
+            fault->noteWaitEnd();
+        return StepStatus::kContinue;
+    }
     // Small-message fast path: while the pool has nothing else to run,
     // a bounded spin beats the park/resume round trip (PR 2 measured
     // the pure-spin protocol at a few microseconds per chunk). Under
     // load — more runnable tasks than workers — park immediately and
     // let the queue drain.
-    if (engine_.runnableNow() <= engine_.workerCount()) {
+    if (engine_->runnableNow() <= engine_->workerCount()) {
         util::SpinWait spin;
         while (!spin.shouldPark()) {
             spin.once([]() { abortPoll(); });
@@ -416,9 +460,15 @@ StepContext::parkOn(BoundedSemaphore& sem, const char* label, int flow,
     // path clears it). The worker publishes kParked on return.
     task_.resuming_ = true;
     obs::RankCounters::global().addSmPark();
-    engine_.parks_.fetch_add(1, std::memory_order_relaxed);
-    engine_.parked_now_.fetch_add(1, std::memory_order_relaxed);
+    engine_->parks_.fetch_add(1, std::memory_order_relaxed);
+    engine_->parked_now_.fetch_add(1, std::memory_order_relaxed);
     return StepStatus::kParked;
+}
+
+int
+StepContext::traceTrack() const
+{
+    return engine_ == nullptr ? obs::threadTrack() : 0;
 }
 
 } // namespace ccl

@@ -12,8 +12,8 @@
  * Real stacks don't do that: NCCL multiplexes many channels' progress
  * onto a handful of proxy threads, and Motr-style request handlers
  * (the FOM pattern) run as non-blocking state machines that *park* on
- * a condition and are resumed by the post. This header is that third
- * engine mode: each rank's collective body becomes a RankTask whose
+ * a condition and are resumed by the post. This header is that
+ * engine: each rank's collective body is a RankTask whose
  * step() advances until a mailbox would block, then parks on the
  * mailbox's semaphore via the SemaphoreWaiter registration in
  * sync_primitives.h. A post() pops the waiter and reschedules the
@@ -51,6 +51,12 @@
  * other queues. Steals, parks, and resumes land in obs::RankCounters
  * and the engine exports live ccl.sm.* gauges to obs::Monitor.
  *
+ * The same task graphs also run on the thread engine (RankExecutor):
+ * there each task gets a dedicated thread and RankTask::runToCompletion
+ * drives it, with every would-park wait done inline instead. A
+ * collective is therefore written once, as a RankTask set, whichever
+ * engine executes it.
+ *
  * Along with executor.cpp, this is a translation unit in src/ccl/
  * allowed to construct std::thread (the pool workers).
  */
@@ -64,6 +70,7 @@
 #include <thread>
 #include <vector>
 
+#include "ccl/protocol.h"
 #include "ccl/sync_primitives.h"
 
 namespace ccube {
@@ -216,10 +223,14 @@ class StateMachineEngine
  * what StepContext::parkOn* gives back when an op would block, and
  * kDone when the protocol is finished. step() runs with the batch's
  * fault context installed and the task's rank set as the thread rank,
- * so mailbox telemetry, fault injection, and watchdog blame all
- * attribute exactly as in thread-per-rank mode.
+ * so mailbox telemetry, fault injection, and watchdog blame attribute
+ * to the task's rank on either engine.
+ *
+ * Cache-line aligned: a collective's tasks are allocated back to back,
+ * and each one's cursor is written by whichever thread drives it, so
+ * two tasks must not share a line.
  */
-class RankTask : public SemaphoreWaiter
+class alignas(64) RankTask : public SemaphoreWaiter
 {
   public:
     RankTask(int rank, const char* role) : rank_(rank), role_(role) {}
@@ -231,6 +242,27 @@ class RankTask : public SemaphoreWaiter
 
     /** Role label ("rank", "tree1", "forward", ...). */
     const char* role() const { return role_; }
+
+    /**
+     * Whether this task is its rank's main pipeline. The builders mark
+     * exactly one task per rank; the thread engine runs that one on
+     * the rank's parked main thread and every other task of the rank
+     * on a pooled helper. The pool ignores the mark.
+     */
+    bool isMain() const { return main_; }
+
+    /** Marks (or unmarks) this task as its rank's main pipeline. */
+    void setMain(bool main) { main_ = main; }
+
+    /**
+     * Drives the protocol on the calling thread until it is done —
+     * how the thread engine (RankExecutor::runTasks) runs a task. The
+     * StepContext it passes never parks: a blocked op waits inline,
+     * on its semaphore or its LL flag, as the blocking Mailbox ops do.
+     * Exceptions from step() (AbortedWait, RankKilled, ...) propagate
+     * to the caller.
+     */
+    void runToCompletion();
 
   private:
     friend class StateMachineEngine;
@@ -244,6 +276,7 @@ class RankTask : public SemaphoreWaiter
 
     const int rank_;
     const char* role_;
+    bool main_ = false;
     std::atomic<int> park_state_{kRunning};
     BoundedSemaphore* parked_sem_ = nullptr; ///< for the abort sweep
     bool resuming_ = false; ///< next execution is a park resume
@@ -258,22 +291,28 @@ class RankTask : public SemaphoreWaiter
 };
 
 /**
- * Per-step services handed to RankTask::step by the executing worker.
+ * Per-step services handed to RankTask::step by whoever executes it:
+ * a pool worker of a StateMachineEngine, or the dedicated thread of
+ * RankTask::runToCompletion. Tasks call the same methods either way;
+ * only the pool ever parks.
  */
 class StepContext
 {
   public:
     /**
-     * Parks the task until @p box has an arrived chunk. Call after a
-     * failed tryRecv variant or tryPeek and return the result from
-     * step() immediately: kParked when the task actually parked,
-     * kContinue when the chunk raced in (retry the op on the next
-     * step).
+     * Waits for @p box to have an arrived chunk. Call after a failed
+     * tryRecv variant or tryPeek under @p proto and return the result
+     * from step() immediately. Simple: parks the task on the arrival
+     * semaphore (kParked), or returns kContinue when the chunk raced
+     * in (retry the op on the next step). LL posts no semaphore, so
+     * nothing can park: the pool polls the abort epoch and requeues
+     * the task (kContinue). On a dedicated thread either protocol
+     * waits inline until the op can succeed, then returns kContinue.
      */
-    StepStatus parkOnArrival(Mailbox& box);
+    StepStatus awaitArrival(Mailbox& box, Protocol proto);
 
-    /** Parks until @p box has a free receive buffer (failed trySend). */
-    StepStatus parkOnFreeSlot(Mailbox& box);
+    /** As awaitArrival, for a free receive buffer (failed trySend). */
+    StepStatus awaitFreeSlot(Mailbox& box, Protocol proto);
 
     /**
      * General form: parks on @p sem, publishing @p label / @p flow as
@@ -281,20 +320,31 @@ class StepContext
      * the rank expected to post the semaphore (the wait-for graph
      * edge; -1 = unknown). Spins a bounded util::SpinWait ladder
      * first while the pool is otherwise idle — the small-message fast
-     * path — then registers.
+     * path — then registers. On a dedicated thread it never
+     * registers: it waits inline until @p sem is nonzero, exactly like
+     * BoundedSemaphore::wait(), and returns kContinue.
      */
     StepStatus parkOn(BoundedSemaphore& sem, const char* label,
                       int flow, int peer = -1);
 
+    /**
+     * Trace track for the task's own phase spans: 0 on the pool (a
+     * task migrates across workers, so all its phases share one row),
+     * the driving thread's track on a dedicated thread (phases then
+     * nest around that thread's mailbox spans).
+     */
+    int traceTrack() const;
+
   private:
     friend class StateMachineEngine;
+    friend class RankTask;
 
-    StepContext(StateMachineEngine& engine, RankTask& task)
+    StepContext(StateMachineEngine* engine, RankTask& task)
         : engine_(engine), task_(task)
     {
     }
 
-    StateMachineEngine& engine_;
+    StateMachineEngine* const engine_; ///< null: a dedicated thread
     RankTask& task_;
 };
 

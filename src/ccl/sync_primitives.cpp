@@ -172,7 +172,7 @@ BoundedSemaphore::post()
             lock_.lock();
         }
     }
-    ++count_;
+    addLocked(1);
     SemaphoreWaiter* waiter = popWaiterLocked();
     lock_.unlock();
     // The wake runs outside the lock: semaphoreReady() only enqueues
@@ -186,20 +186,21 @@ void
 BoundedSemaphore::wait()
 {
     // Paper's wait(): lock; while cnt == 0 { unlock; lock; } --cnt;
-    // unlock.
-    lock_.lock();
-    if (count_ == 0) {
-        obs::RankCounters::global().addWaitStall();
-        StallTimer timer(StallTimer::Kind::kWait);
-        util::SpinWait spin;
-        while (count_ == 0) {
-            lock_.unlock();
-            spin.once(pollAbort);
-            lock_.lock();
-        }
-    }
-    --count_;
-    lock_.unlock();
+    // unlock — the empty spin reads the count without the lock.
+    while (!tryWait())
+        waitNonzero();
+}
+
+void
+BoundedSemaphore::waitNonzero()
+{
+    if (count_.load(std::memory_order_relaxed) > 0)
+        return;
+    obs::RankCounters::global().addWaitStall();
+    StallTimer timer(StallTimer::Kind::kWait);
+    util::SpinWait spin;
+    while (count_.load(std::memory_order_relaxed) == 0)
+        spin.once(pollAbort);
 }
 
 bool
@@ -219,7 +220,7 @@ BoundedSemaphore::postFor(std::chrono::nanoseconds timeout)
             lock_.lock();
         }
     }
-    ++count_;
+    addLocked(1);
     SemaphoreWaiter* waiter = popWaiterLocked();
     lock_.unlock();
     if (waiter != nullptr)
@@ -244,7 +245,7 @@ BoundedSemaphore::waitFor(std::chrono::nanoseconds timeout)
             lock_.lock();
         }
     }
-    --count_;
+    addLocked(-1);
     lock_.unlock();
     return true;
 }
@@ -255,7 +256,7 @@ BoundedSemaphore::tryWait()
     SpinLockGuard guard(lock_);
     if (count_ == 0)
         return false;
-    --count_;
+    addLocked(-1);
     return true;
 }
 
@@ -267,7 +268,7 @@ BoundedSemaphore::tryPost()
         lock_.unlock();
         return false;
     }
-    ++count_;
+    addLocked(1);
     SemaphoreWaiter* waiter = popWaiterLocked();
     lock_.unlock();
     if (waiter != nullptr)
@@ -319,8 +320,7 @@ BoundedSemaphore::cancelPark(SemaphoreWaiter& waiter)
 int
 BoundedSemaphore::value() const
 {
-    SpinLockGuard guard(lock_);
-    return count_;
+    return count_.load(std::memory_order_acquire);
 }
 
 void
@@ -331,7 +331,7 @@ BoundedSemaphore::reset(int value)
     SpinLockGuard guard(lock_);
     CCUBE_CHECK(waiters_head_ == nullptr,
                 "semaphore reset with parked waiters");
-    count_ = value;
+    count_.store(value, std::memory_order_relaxed);
 }
 
 void

@@ -141,6 +141,14 @@ class BoundedSemaphore
     void wait();
 
     /**
+     * Blocks until the count is nonzero, without consuming it: the
+     * blocking half of wait(), for a caller that then retries its own
+     * tryWait()-based op. Counts the wait stall and its ns exactly as
+     * wait() does (wait() is built on it); polls the abort epoch.
+     */
+    void waitNonzero();
+
+    /**
      * Deadline-aware post(): returns false if the count stayed at
      * capacity for @p timeout. Throws AbortedWait on abort.
      */
@@ -186,7 +194,7 @@ class BoundedSemaphore
      */
     bool cancelPark(SemaphoreWaiter& waiter);
 
-    /** Current count (racy snapshot, for tests/telemetry). */
+    /** Current count (racy snapshot, for tests/telemetry; lock-free). */
     int value() const;
 
     /** Capacity. */
@@ -202,8 +210,17 @@ class BoundedSemaphore
     /** Pops the head waiter (FIFO); caller must hold lock_. */
     SemaphoreWaiter* popWaiterLocked();
 
+    /** Adds @p delta to the count; caller must hold lock_. */
+    void addLocked(int delta)
+    {
+        count_.store(count_.load(std::memory_order_relaxed) + delta,
+                     std::memory_order_relaxed);
+    }
+
     mutable SpinLock lock_;
-    int count_;
+    /** Written only under lock_; atomic so waiters can spin on it
+     *  without taking the lock. */
+    std::atomic<int> count_;
     const int capacity_;
     SemaphoreWaiter* waiters_head_ = nullptr;
     SemaphoreWaiter* waiters_tail_ = nullptr;

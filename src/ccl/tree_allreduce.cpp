@@ -1,191 +1,14 @@
 #include "ccl/tree_allreduce.h"
 
-#include <string>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "ccl/algorithm_tasks.h"
-#include "obs/context.h"
-#include "obs/trace.h"
-#include "topo/detour_router.h"
 #include "util/logging.h"
 
 namespace ccube {
 namespace ccl {
-
-namespace {
-
-using topo::NodeId;
-using topo::PhaseDirection;
-using topo::Route;
-
-/**
- * Forwarding loop of one static detour rule: each chunk is consumed in
- * place out of the upstream receive buffer and sent downstream with no
- * staging copy — the software analog of the paper's per-direction
- * forwarding kernels.
- */
-void
-forwardLoop(Communicator& comm, const topo::ForwardingRule& rule,
-            FlowId flow, int num_chunks, Protocol proto)
-{
-    obs::ScopedSpan span("tree.forward " +
-                             std::to_string(rule.upstream) + "->" +
-                             std::to_string(rule.downstream),
-                         "ccl.allreduce",
-                         obs::pids::cclRank(rule.transit),
-                         obs::threadTrack());
-    Mailbox& in = comm.mailbox(rule.upstream, rule.transit, flow);
-    Mailbox& out = comm.mailbox(rule.transit, rule.downstream, flow);
-    const Mailbox::Visitor forward =
-        [&out, proto](std::span<const float> data, int tag) {
-            out.send(data, tag, proto);
-        };
-    for (int c = 0; c < num_chunks; ++c)
-        in.consume(forward, proto);
-}
-
-} // namespace
-
-namespace detail {
-
-void
-treeRankBody(Communicator& comm, int rank, std::span<float> buffer,
-             const topo::TreeEmbedding& embedding, const ChunkSplit& split,
-             TreePhaseMode mode, TreeFlowIds flows, AllReduceTrace& trace,
-             int chunk_id_offset, Protocol proto, const SkipMask& resume)
-{
-    const topo::BinaryTree& tree = embedding.tree;
-    const int num_chunks = split.count();
-    const bool is_root = tree.root() == rank;
-    RankExecutor& executor = comm.executor();
-
-    // Active chunk list: the local chunk ids this tree still moves.
-    // Every rank (and every forwarder) derives the same list from the
-    // same global mask, so the pipelines stay in lockstep and chunk
-    // tags match hop by hop even when a retry skips finished chunks.
-    std::vector<int> active;
-    active.reserve(static_cast<std::size_t>(num_chunks));
-    for (int c = 0; c < num_chunks; ++c)
-        if (!resume.done(chunk_id_offset + c))
-            active.push_back(c);
-    const int active_count = static_cast<int>(active.size());
-
-    // Detour forwarding kernels hosted on this rank, one persistent
-    // helper per rule; each handles exactly the active chunks. The
-    // rules come out of the embedding's cache — extracted once per
-    // embedding, not per collective per rank.
-    RankExecutor::Group helpers;
-    for (const topo::ForwardingRule& rule :
-         topo::cachedForwardingRules(embedding, /*tree_index=*/0)) {
-        if (rule.transit != rank)
-            continue;
-        const FlowId flow = rule.phase == PhaseDirection::kReduction
-                                ? flows.reduce
-                                : flows.broadcast;
-        executor.submit(helpers, rank, "forward",
-                        [&comm, rule, flow, active_count, proto]() {
-                            forwardLoop(comm, rule, flow, active_count,
-                                        proto);
-                        });
-    }
-
-    // Per-rank mailbox plan, resolved once before any chunk moves
-    // (the analog of the paper compiling its data-movement plan into
-    // the persistent kernel): parent/child mailboxes for both
-    // directions, so the chunk loops do no registry lookups at all.
-    Mailbox* up_parent = nullptr;   ///< reduction: this rank → parent
-    Mailbox* down_parent = nullptr; ///< broadcast: parent → this rank
-    if (!is_root) {
-        const Route& route = embedding.routeToChild(rank);
-        const NodeId parent_hop = route.hops[route.hops.size() - 2];
-        up_parent = &comm.mailbox(rank, parent_hop, flows.reduce);
-        down_parent = &comm.mailbox(parent_hop, rank, flows.broadcast);
-    }
-    const std::vector<NodeId>& children = tree.children(rank);
-    std::vector<Mailbox*> up_children;   ///< reduction: child → here
-    std::vector<Mailbox*> down_children; ///< broadcast: here → child
-    for (NodeId child : children) {
-        const NodeId hop = embedding.routeToChild(child).hops[1];
-        up_children.push_back(&comm.mailbox(hop, rank, flows.reduce));
-        down_children.push_back(
-            &comm.mailbox(rank, hop, flows.broadcast));
-    }
-
-    auto broadcast_to_children = [&](int chunk) {
-        const std::span<const float> data =
-            split.slice(std::span<const float>(buffer), chunk);
-        for (Mailbox* box : down_children)
-            box->send(data, chunk, proto);
-    };
-
-    // Reduction role: accumulate children, pass up (or, at the root,
-    // record completion and — when overlapped — start the broadcast).
-    auto reduction_role = [&]() {
-        obs::ScopedSpan span("tree.reduce", "ccl.allreduce",
-                             obs::pids::cclRank(rank),
-                             obs::threadTrack());
-        for (int c : active) {
-            for (Mailbox* box : up_children) {
-                const int tag =
-                    box->recvReduce(split.slice(buffer, c), proto);
-                CCUBE_CHECK(tag == c, "reduction chunk out of order");
-            }
-            if (!is_root) {
-                up_parent->send(
-                    split.slice(std::span<const float>(buffer), c), c,
-                    proto);
-            } else {
-                trace.record(rank, chunk_id_offset + c);
-                if (mode == TreePhaseMode::kOverlapped)
-                    broadcast_to_children(c);
-            }
-        }
-    };
-
-    // Broadcast role of a non-root: receive from the parent, record,
-    // and forward down.
-    auto broadcast_role = [&]() {
-        obs::ScopedSpan span("tree.broadcast", "ccl.allreduce",
-                             obs::pids::cclRank(rank),
-                             obs::threadTrack());
-        for (int c : active) {
-            const int tag =
-                down_parent->recvInto(split.slice(buffer, c), proto);
-            CCUBE_CHECK(tag == c, "broadcast chunk out of order");
-            trace.record(rank, chunk_id_offset + c);
-            broadcast_to_children(c);
-        }
-    };
-
-    if (is_root) {
-        reduction_role();
-        if (mode == TreePhaseMode::kTwoPhase) {
-            for (int c : active)
-                broadcast_to_children(c);
-        }
-    } else if (mode == TreePhaseMode::kTwoPhase) {
-        reduction_role();
-        broadcast_role();
-    } else {
-        // Overlapped: the reduction and broadcast pipelines run as
-        // concurrent "persistent kernels" on this rank — the reducer
-        // on a pooled helper, the broadcaster inline. The reducer
-        // references this frame's locals, so it gets its own group
-        // declared *after* them: if broadcast_role throws (abort), the
-        // group's destructor joins the reducer before the unwind can
-        // free anything it still touches.
-        RankExecutor::Group reducer;
-        executor.submit(reducer, rank, "reduce",
-                        [&reduction_role]() { reduction_role(); });
-        broadcast_role();
-        reducer.wait();
-    }
-
-    helpers.wait();
-}
-
-} // namespace detail
 
 AllReduceTrace
 treeAllReduce(Communicator& comm, RankBuffers& buffers,
@@ -208,23 +31,12 @@ treeAllReduce(Communicator& comm, RankBuffers& buffers,
     trace.setObserver(std::move(observer));
     const ChunkSplit split(buffers[0].size(), num_chunks);
 
-    if (comm.engineMode() == RankExecutor::Mode::kStateMachine) {
-        std::vector<std::unique_ptr<RankTask>> tasks;
-        appendTreeTasks(tasks, comm, buffers, embedding,
-                        /*region_offset=*/0, buffers[0].size(), split,
-                        mode, flows, TreeDirection::kAllReduce, &trace,
-                        /*chunk_id_offset=*/0, "tree", proto, resume);
-        comm.runTasks(std::move(tasks), "tree_allreduce", proto);
-        return trace;
-    }
-
-    comm.run([&](int rank) {
-        detail::treeRankBody(
-            comm, rank,
-            std::span<float>(buffers[static_cast<std::size_t>(rank)]),
-            embedding, split, mode, flows, trace, /*chunk_id_offset=*/0,
-            proto, resume);
-    }, "tree_allreduce", proto);
+    std::vector<std::unique_ptr<RankTask>> tasks;
+    appendTreeTasks(tasks, comm, buffers, embedding,
+                    /*region_offset=*/0, buffers[0].size(), split, mode,
+                    flows, TreeDirection::kAllReduce, &trace,
+                    /*chunk_id_offset=*/0, "tree", proto, resume);
+    comm.runTasks(std::move(tasks), "tree_allreduce", proto);
     return trace;
 }
 

@@ -2,19 +2,24 @@
  * @file
  * Tests for the persistent RankExecutor: thread reuse across
  * back-to-back collectives (the whole point — no per-collective
- * spawning), correct results under every AllReduce algorithm on both
- * execution engines, exception propagation out of rank bodies with the
- * executor left usable, and the obs-exported telemetry.
+ * spawning), correct results under every AllReduce algorithm,
+ * exception propagation out of rank bodies with the executor left
+ * usable, the CCUBE_CCL_EXECUTOR engine-name parse, and the
+ * obs-exported telemetry.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "ccl/algorithm_tasks.h"
 #include "ccl/communicator.h"
 #include "ccl/double_tree_allreduce.h"
 #include "ccl/executor.h"
@@ -27,6 +32,7 @@
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace ccube {
@@ -114,13 +120,34 @@ TEST(RankExecutor, PersistentModeAllAlgorithmsCorrect)
     runAllAlgorithms(comm, topo, rng);
 }
 
-TEST(RankExecutor, SpawnModeAllAlgorithmsCorrect)
+TEST(RankExecutor, EngineNameParse)
 {
-    const Topologies topo;
-    ccl::Communicator comm(kRanks, 4,
-                           ccl::RankExecutor::Mode::kSpawnPerCall);
-    util::Rng rng(12);
-    runAllAlgorithms(comm, topo, rng);
+    using Mode = ccl::RankExecutor::Mode;
+    std::ostringstream log;
+    util::Logger::instance().setSink(&log);
+    EXPECT_EQ(ccl::RankExecutor::parseMode(nullptr), Mode::kPersistent);
+    EXPECT_EQ(ccl::RankExecutor::parseMode(""), Mode::kPersistent);
+    EXPECT_EQ(ccl::RankExecutor::parseMode("statemachine"),
+              Mode::kStateMachine);
+    EXPECT_EQ(ccl::RankExecutor::parseMode("sm"), Mode::kStateMachine);
+    EXPECT_TRUE(log.str().empty()) << log.str();
+
+    // Unknown names — the removed "spawn" among them — fall back to
+    // the persistent engine with one warning naming the accepted
+    // values.
+    for (const char* name : {"spawn", "bogus"}) {
+        log.str("");
+        EXPECT_EQ(ccl::RankExecutor::parseMode(name), Mode::kPersistent);
+        const std::string line = log.str();
+        EXPECT_NE(line.find(std::string("'") + name + "'"),
+                  std::string::npos)
+            << line;
+        EXPECT_NE(line.find("statemachine, sm, or unset"),
+                  std::string::npos)
+            << line;
+        EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1) << line;
+    }
+    util::Logger::instance().setSink(nullptr);
 }
 
 TEST(RankExecutor, NoThreadGrowthAcrossBackToBackRingCollectives)
@@ -186,6 +213,66 @@ TEST(RankExecutor, HelperPoolBoundedAcrossBackToBackCollectives)
               static_cast<std::int64_t>(kIters) * 4 * kRanks);
 }
 
+/**
+ * Checks the contract RankExecutor::runTasks relies on: every rank has
+ * exactly one main pipeline in @p tasks, and it is never a forwarder
+ * or an overlapped reducer (those always get a helper thread). Returns
+ * the main pipelines' roles, indexed by rank.
+ */
+std::vector<std::string>
+expectOneMainPerRank(
+    const std::vector<std::unique_ptr<ccl::RankTask>>& tasks)
+{
+    std::vector<std::string> roles(kRanks);
+    std::vector<int> mains(kRanks, 0);
+    for (const std::unique_ptr<ccl::RankTask>& task : tasks) {
+        if (!task->isMain())
+            continue;
+        ++mains[static_cast<std::size_t>(task->rank())];
+        roles[static_cast<std::size_t>(task->rank())] = task->role();
+        EXPECT_STRNE(task->role(), "forward");
+        EXPECT_STRNE(task->role(), "reduce");
+    }
+    for (int r = 0; r < kRanks; ++r)
+        EXPECT_EQ(mains[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    return roles;
+}
+
+TEST(RankExecutor, BuildersMarkOneMainPipelinePerRank)
+{
+    const Topologies topo;
+    ccl::Communicator comm(kRanks, 4,
+                           ccl::RankExecutor::Mode::kPersistent);
+    ccl::RankBuffers buffers(kRanks, std::vector<float>(kElems, 0.0f));
+    ccl::AllReduceTrace trace(kRanks);
+    int forwarders = 0;
+    for (int r = 0; r < kRanks; ++r)
+        forwarders += forwarderCount(topo.tree, r);
+    ASSERT_GT(forwarders, 0)
+        << "the tree must have detours for the forwarder check to bite";
+
+    expectOneMainPerRank(ccl::buildRingTasks(
+        comm, buffers, topo.ring, ccl::RingPhase::kAllReduce, &trace));
+    for (ccl::TreePhaseMode mode : {ccl::TreePhaseMode::kTwoPhase,
+                                    ccl::TreePhaseMode::kOverlapped}) {
+        std::vector<std::unique_ptr<ccl::RankTask>> tasks;
+        ccl::appendTreeTasks(tasks, comm, buffers, topo.tree,
+                             /*region_offset=*/0, kElems,
+                             ccl::ChunkSplit(kElems, kChunks), mode,
+                             ccl::TreeFlowIds{},
+                             ccl::TreeDirection::kAllReduce, &trace,
+                             /*chunk_id_offset=*/0, "tree");
+        expectOneMainPerRank(tasks);
+    }
+    // Double tree: each rank's tree1 pipeline is the main one.
+    for (const std::string& role : expectOneMainPerRank(
+             ccl::buildDoubleTreeTasks(comm, buffers, topo.double_tree,
+                                       kChunks,
+                                       ccl::TreePhaseMode::kOverlapped,
+                                       trace)))
+        EXPECT_EQ(role, "tree1");
+}
+
 TEST(RankExecutor, TasksExecutedAdvances)
 {
     ccl::Communicator comm(kRanks, 4,
@@ -214,8 +301,7 @@ TEST(RankExecutor, RankBodyExceptionPropagatesAndExecutorSurvives)
 
 TEST(RankExecutor, HelperExceptionPropagatesThroughGroup)
 {
-    ccl::RankExecutor executor(2,
-                               ccl::RankExecutor::Mode::kPersistent);
+    ccl::RankExecutor executor(2);
     executor.run([&](int rank) {
         if (rank != 0)
             return;

@@ -28,11 +28,13 @@
 #include "ccl/tree_allreduce.h"
 #include "ccl/tuner.h"
 #include "model/ring_model.h"
+#include "reference_collectives.h"
 #include "sim/simulation.h"
 #include "simnet/channel.h"
 #include "simnet/ring_schedule.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
+#include "topo/embedding_search.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
 #include "util/rng.h"
@@ -136,6 +138,9 @@ struct Scenario {
     const char* name;
     std::function<void(ccl::Communicator&, ccl::RankBuffers&, Protocol)>
         run;
+    /** Serial, order-faithful result for the given inputs
+     *  (reference_collectives.h). */
+    std::function<ccl::RankBuffers(const ccl::RankBuffers&)> reference;
 };
 
 std::vector<Scenario>
@@ -146,6 +151,9 @@ dgx1Scenarios(const Dgx1Topologies& topo)
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::ringAllReduce(c, b, topo.ring, {}, p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::ringAllReduce(in, topo.ring);
          }},
         {"tree_allreduce_two_phase",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
@@ -153,12 +161,18 @@ dgx1Scenarios(const Dgx1Topologies& topo)
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
                                 ccl::TreePhaseMode::kTwoPhase, {}, {},
                                 p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"tree_allreduce_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks, {},
                                           p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"double_tree_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
@@ -166,18 +180,20 @@ dgx1Scenarios(const Dgx1Topologies& topo)
              ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
                                       ccl::TreePhaseMode::kOverlapped,
                                       {}, p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::doubleTreeAllReduce(in, topo.double_tree);
          }},
     };
 }
 
-// ------------------- LL vs Simple byte identity (DGX-1, P=8, 3 engines)
+// ------------------- LL vs Simple byte identity (DGX-1, P=8, 2 engines)
 
 TEST(ProtocolByteIdentity, LLMatchesSimpleAllEnginesOnDgx1)
 {
     const Dgx1Topologies topo;
     const std::vector<RankExecutor::Mode> modes = {
         RankExecutor::Mode::kPersistent,
-        RankExecutor::Mode::kSpawnPerCall,
         RankExecutor::Mode::kStateMachine,
     };
     std::uint64_t seed = 301;
@@ -189,16 +205,19 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAllEnginesOnDgx1)
                                    RankExecutor::Mode::kPersistent);
             scenario.run(comm, reference, Protocol::kSimple);
         }
+        const ccl::RankBuffers serial =
+            scenario.reference(seededBuffers(8, 64, seed));
         for (RankExecutor::Mode mode : modes) {
             for (Protocol proto :
                  {Protocol::kSimple, Protocol::kLL}) {
                 ccl::RankBuffers buffers = seededBuffers(8, 64, seed);
                 ccl::Communicator comm(8, kSlots, mode);
                 scenario.run(comm, buffers, proto);
-                expectBytesIdentical(
-                    buffers, reference,
-                    std::string(scenario.name) + "/" +
-                        ccl::protocolName(proto));
+                const std::string what = std::string(scenario.name) +
+                                         "/" +
+                                         ccl::protocolName(proto);
+                expectBytesIdentical(buffers, reference, what);
+                expectBytesIdentical(buffers, serial, what + "/serial");
             }
         }
         ++seed;
@@ -218,11 +237,31 @@ TEST(ProtocolByteIdentity, AutoMatchesSimpleThroughDispatcher)
     };
     const std::vector<RankExecutor::Mode> modes = {
         RankExecutor::Mode::kPersistent,
-        RankExecutor::Mode::kSpawnPerCall,
         RankExecutor::Mode::kStateMachine,
+    };
+    // The dispatcher searches its own double-tree embedding; the
+    // serial reference reduces over the same one.
+    topo::EmbeddingSearchOptions search;
+    search.num_ranks = 8;
+    const auto searched =
+        topo::findConflictFreeDoubleTree(topo.graph, search);
+    ASSERT_TRUE(searched.has_value());
+    auto serialFor = [&](ccl::AllReduceAlgorithm algorithm,
+                         const ccl::RankBuffers& in) {
+        switch (algorithm) {
+          case ccl::AllReduceAlgorithm::kRing:
+            return reference::ringAllReduce(in, topo.ring);
+          case ccl::AllReduceAlgorithm::kTree:
+          case ccl::AllReduceAlgorithm::kOverlappedTree:
+            return reference::treeAllReduce(in, topo.tree.tree);
+          default:
+            return reference::doubleTreeAllReduce(in, *searched);
+        }
     };
     std::uint64_t seed = 401;
     for (ccl::AllReduceAlgorithm algorithm : algorithms) {
+        const ccl::RankBuffers serial =
+            serialFor(algorithm, seededBuffers(8, 96, seed));
         ccl::RankBuffers reference = seededBuffers(8, 96, seed);
         {
             ccl::Communicator comm(8, kSlots,
@@ -241,9 +280,10 @@ TEST(ProtocolByteIdentity, AutoMatchesSimpleThroughDispatcher)
             options.num_chunks = kChunks;
             options.protocol = Protocol::kAuto;
             ccl::allReduce(comm, buffers, topo.graph, options);
-            expectBytesIdentical(buffers, reference,
-                                 std::string("auto/") +
-                                     ccl::algorithmName(algorithm));
+            const std::string what =
+                std::string("auto/") + ccl::algorithmName(algorithm);
+            expectBytesIdentical(buffers, reference, what);
+            expectBytesIdentical(buffers, serial, what + "/serial");
         }
         ++seed;
     }
@@ -278,6 +318,9 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::ringAllReduce(c, b, topo.ring, {}, p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::ringAllReduce(in, topo.ring);
          }},
         {"tree_allreduce_two_phase_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
@@ -285,12 +328,18 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
                                 ccl::TreePhaseMode::kTwoPhase, {}, {},
                                 p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"tree_allreduce_overlapped_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
                  Protocol p) {
              ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks, {},
                                           p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"double_tree_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b,
@@ -298,6 +347,9 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
              ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
                                       ccl::TreePhaseMode::kOverlapped,
                                       {}, p);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::doubleTreeAllReduce(in, topo.double_tree);
          }},
     };
     std::uint64_t seed = 501;
@@ -308,11 +360,17 @@ TEST(ProtocolByteIdentity, LLMatchesSimpleAtSixtyFourRanks)
                                    RankExecutor::Mode::kPersistent);
             scenario.run(comm, reference, Protocol::kSimple);
         }
+        const ccl::RankBuffers serial =
+            scenario.reference(seededBuffers(kRanks, 128, seed));
+        expectBytesIdentical(reference, serial,
+                             std::string(scenario.name) + "/serial");
         ccl::RankBuffers buffers = seededBuffers(kRanks, 128, seed);
         ccl::Communicator comm(kRanks, kSlots,
                                RankExecutor::Mode::kStateMachine);
         scenario.run(comm, buffers, Protocol::kLL);
         expectBytesIdentical(buffers, reference, scenario.name);
+        expectBytesIdentical(buffers, serial,
+                             std::string(scenario.name) + "/serial");
         ++seed;
     }
 }

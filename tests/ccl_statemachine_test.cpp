@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the async state-machine rank runtime (state_machine.h):
- * byte-identical collective results across all three engine modes,
- * large-P functional runs on a handful of pool threads, concurrent
- * communicators multiplexed onto the shared engine, fault kill/stall
- * mid-park with correct watchdog blame, and the park/resume/steal
- * telemetry surfaced through obs.
+ * byte-identical collective results across both engines and against
+ * the serial reference, large-P functional runs on a handful of pool
+ * threads, concurrent communicators multiplexed onto the shared engine,
+ * fault kill/stall mid-park with correct watchdog blame, and the
+ * park/resume/steal telemetry surfaced through obs.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "ccl/tree_allreduce.h"
 #include "obs/context.h"
 #include "obs/monitor.h"
+#include "reference_collectives.h"
 #include "topo/dgx1.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
@@ -132,7 +133,7 @@ expectBytesIdentical(const ccl::RankBuffers& got,
             for (std::size_t i = 0; i < got[r].size(); ++i)
                 ASSERT_EQ(got[r][i], want[r][i])
                     << what << ": rank " << r << " elem " << i
-                    << " diverges between engine modes";
+                    << " diverges";
         }
     }
 }
@@ -141,30 +142,40 @@ expectBytesIdentical(const ccl::RankBuffers& got,
 struct Scenario {
     const char* name;
     std::function<void(ccl::Communicator&, ccl::RankBuffers&)> run;
+    /** Serial, order-faithful result for the given inputs
+     *  (reference_collectives.h). */
+    std::function<ccl::RankBuffers(const ccl::RankBuffers&)> reference;
 };
 
 /**
  * Runs @p scenario once per engine mode on fresh communicators and
  * identical seeded inputs, and requires the resulting buffers of every
- * mode to be byte-identical to the thread-per-rank reference.
+ * mode to be byte-identical to the serial reference and to the
+ * persistent-engine run.
  */
 void
 expectModesAgree(int ranks, int elems, const Scenario& scenario,
                  const std::vector<RankExecutor::Mode>& modes,
                  std::uint64_t seed)
 {
+    const ccl::RankBuffers serial =
+        scenario.reference(seededBuffers(ranks, elems, seed));
     ccl::RankBuffers reference = seededBuffers(ranks, elems, seed);
     {
         ccl::Communicator comm(ranks, kSlots,
                                RankExecutor::Mode::kPersistent);
         scenario.run(comm, reference);
     }
+    expectBytesIdentical(reference, serial,
+                         (std::string(scenario.name) + "/persistent")
+                             .c_str());
     for (RankExecutor::Mode mode : modes) {
         ccl::RankBuffers buffers = seededBuffers(ranks, elems, seed);
         ccl::Communicator comm(ranks, kSlots, mode);
         ASSERT_EQ(comm.engineMode(), mode);
         scenario.run(comm, buffers);
         expectBytesIdentical(buffers, reference, scenario.name);
+        expectBytesIdentical(buffers, serial, scenario.name);
     }
 }
 
@@ -177,41 +188,68 @@ dgx1Scenarios(const Dgx1Topologies& topo)
         {"ring_allreduce",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::ringAllReduce(c, b, topo.ring);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::ringAllReduce(in, topo.ring);
          }},
         {"tree_allreduce_two_phase",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
                                 ccl::TreePhaseMode::kTwoPhase);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"tree_allreduce_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"double_tree_overlapped",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
                                       ccl::TreePhaseMode::kOverlapped);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::doubleTreeAllReduce(in, topo.double_tree);
          }},
         {"double_tree_two_phase",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
                                       ccl::TreePhaseMode::kTwoPhase);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::doubleTreeAllReduce(in, topo.double_tree);
          }},
         {"tree_broadcast",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::treeBroadcast(c, b, topo.tree, kChunks);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeBroadcast(in, topo.tree.tree);
          }},
         {"tree_reduce",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::treeReduce(c, b, topo.tree, kChunks);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeReduce(in, topo.tree.tree);
          }},
         {"ring_reduce_scatter",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::ringReduceScatter(c, b, topo.ring);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::ringReduceScatter(in, topo.ring);
          }},
         {"ring_all_gather",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::ringAllGather(c, b, topo.ring);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::ringAllGather(in, topo.ring);
          }},
     };
 }
@@ -220,7 +258,6 @@ TEST(StateMachineByteIdentity, AllCollectivesAllEnginesOnDgx1)
 {
     const Dgx1Topologies topo;
     const std::vector<RankExecutor::Mode> modes = {
-        RankExecutor::Mode::kSpawnPerCall,
         RankExecutor::Mode::kStateMachine,
     };
     std::uint64_t seed = 101;
@@ -241,20 +278,32 @@ TEST(StateMachineByteIdentity, LogicalTopologiesAtSixtyFourRanks)
         {"ring_allreduce_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::ringAllReduce(c, b, topo.ring);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::ringAllReduce(in, topo.ring);
          }},
         {"tree_allreduce_two_phase_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::treeAllReduce(c, b, topo.tree, kChunks,
                                 ccl::TreePhaseMode::kTwoPhase);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"tree_allreduce_overlapped_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::overlappedTreeAllReduce(c, b, topo.tree, kChunks);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::treeAllReduce(in, topo.tree.tree);
          }},
         {"double_tree_p64",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::doubleTreeAllReduce(c, b, topo.double_tree, kChunks,
                                       ccl::TreePhaseMode::kOverlapped);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::doubleTreeAllReduce(in, topo.double_tree);
          }},
     };
     std::uint64_t seed = 201;
@@ -283,11 +332,17 @@ TEST(StateMachineScaling, TwoHundredFiftySixRanksExactSums)
         {"ring_allreduce_p256",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::ringAllReduce(c, b, topo.ring);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::ringAllReduce(in, topo.ring);
          }},
         {"double_tree_p256",
          [&topo](ccl::Communicator& c, ccl::RankBuffers& b) {
              ccl::doubleTreeAllReduce(c, b, topo.double_tree, 2,
                                       ccl::TreePhaseMode::kOverlapped);
+         },
+         [&topo](const ccl::RankBuffers& in) {
+             return reference::doubleTreeAllReduce(in, topo.double_tree);
          }},
     };
     for (const Scenario& scenario : scenarios) {
@@ -295,6 +350,9 @@ TEST(StateMachineScaling, TwoHundredFiftySixRanksExactSums)
         ccl::Communicator comm(kRanks, kSlots,
                                RankExecutor::Mode::kStateMachine);
         scenario.run(comm, buffers);
+        expectBytesIdentical(
+            buffers, scenario.reference(integerBuffers(kRanks, kElems)),
+            scenario.name);
         for (int r = 0; r < kRanks; ++r)
             for (int i = 0; i < kElems; ++i)
                 ASSERT_EQ(buffers[static_cast<std::size_t>(r)]

@@ -1,14 +1,13 @@
 /**
  * @file
  * GPU device-model tests: SM tax of forwarding kernels (Fig. 15's
- * mechanism) and simulated stream semantics.
+ * mechanism).
  */
 
 #include <gtest/gtest.h>
 
 #include "dnn/catalog.h"
 #include "gpu/device.h"
-#include "gpu/stream.h"
 
 namespace ccube {
 namespace gpu {
@@ -51,50 +50,6 @@ TEST(Device, RejectsAbsurdTax)
     EXPECT_DEATH(device.hostForwardingKernels(1, 1.5), "out of range");
     EXPECT_DEATH(device.hostForwardingKernels(200, 0.01),
                  "whole GPU");
-}
-
-TEST(Stream, KernelsExecuteInOrder)
-{
-    sim::Simulation sim;
-    Stream stream(sim, "compute");
-    std::vector<double> done;
-    stream.launch(1.0, [&]() { done.push_back(sim.now()); });
-    stream.launch(2.0, [&]() { done.push_back(sim.now()); });
-    stream.launch(0.5, [&]() { done.push_back(sim.now()); });
-    sim.run();
-    ASSERT_EQ(done.size(), 3u);
-    EXPECT_DOUBLE_EQ(done[0], 1.0);
-    EXPECT_DOUBLE_EQ(done[1], 3.0);
-    EXPECT_DOUBLE_EQ(done[2], 3.5);
-    EXPECT_DOUBLE_EQ(stream.busyTime(), 3.5);
-    EXPECT_EQ(stream.launches(), 3u);
-}
-
-TEST(Stream, TwoStreamsRunConcurrently)
-{
-    // Communication and computation streams on one GPU overlap —
-    // the property C-Cube's chaining exploits.
-    sim::Simulation sim;
-    Stream compute(sim, "compute");
-    Stream comm(sim, "comm");
-    double compute_done = -1.0;
-    double comm_done = -1.0;
-    compute.launch(2.0, [&]() { compute_done = sim.now(); });
-    comm.launch(2.0, [&]() { comm_done = sim.now(); });
-    const double end = sim.run();
-    EXPECT_DOUBLE_EQ(compute_done, 2.0);
-    EXPECT_DOUBLE_EQ(comm_done, 2.0);
-    EXPECT_DOUBLE_EQ(end, 2.0); // not 4.0: true overlap
-}
-
-TEST(Stream, ZeroDurationKernelAllowed)
-{
-    sim::Simulation sim;
-    Stream stream(sim, "s");
-    bool done = false;
-    stream.launch(0.0, [&]() { done = true; });
-    sim.run();
-    EXPECT_TRUE(done);
 }
 
 } // namespace

@@ -178,8 +178,9 @@ TEST(Monitor, HeartbeatSnapshotsFromSimulation)
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
         EXPECT_EQ(snapshots[i].run, 1);
         EXPECT_EQ(snapshots[i].trigger, "heartbeat");
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(snapshots[i].t_s, snapshots[i - 1].t_s);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
  * sampler smoke capture (publish a phase, observe samples and the
  * collapsed-stack rendering). E2e side: a FaultInjector kill during a
  * P=64 ring AllReduce must surface a CollectiveError whose wait-for
- * chain terminates at the killed rank, in all three engine modes —
+ * chain terminates at the killed rank, on both engines —
  * the ring is the shape where the chain is exact (every rank has one
  * upstream), so the terminus assertion is deterministic.
  */
@@ -239,14 +239,11 @@ TEST_P(StallReportE2e, KillAtP64RingChainTerminatesAtKilledRank)
 INSTANTIATE_TEST_SUITE_P(
     Modes, StallReportE2e,
     ::testing::Values(ccl::RankExecutor::Mode::kPersistent,
-                      ccl::RankExecutor::Mode::kSpawnPerCall,
                       ccl::RankExecutor::Mode::kStateMachine),
     [](const auto& info) {
         switch (info.param) {
         case ccl::RankExecutor::Mode::kPersistent:
             return "Persistent";
-        case ccl::RankExecutor::Mode::kSpawnPerCall:
-            return "SpawnPerCall";
         case ccl::RankExecutor::Mode::kStateMachine:
             return "StateMachine";
         }

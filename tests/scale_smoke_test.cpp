@@ -26,6 +26,7 @@
 #include "ccl/executor.h"
 #include "ccl/ring_allreduce.h"
 #include "ccl/state_machine.h"
+#include "reference_collectives.h"
 #include "topo/double_tree.h"
 #include "topo/ring_embedding.h"
 #include "topo/tree_embedding.h"
@@ -82,6 +83,25 @@ TEST(ScaleSmoke, DoubleTreeP512ByteIdenticalToThreadPerRank)
                                RankExecutor::Mode::kStateMachine);
         ccl::doubleTreeAllReduce(comm, buffers, dt, kChunksPerTree,
                                  ccl::TreePhaseMode::kTwoPhase);
+    }
+
+    // Both engines must also match the serial, order-faithful
+    // reference (reference_collectives.h).
+    const ccl::RankBuffers serial = reference::doubleTreeAllReduce(
+        seededBuffers(kRanks, kElems, 7), dt);
+    for (const ccl::RankBuffers* run : {&buffers, &reference}) {
+        for (int r = 0; r < kRanks; ++r) {
+            const auto& got = (*run)[static_cast<std::size_t>(r)];
+            const auto& want = serial[static_cast<std::size_t>(r)];
+            if (std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)) != 0) {
+                for (int i = 0; i < kElems; ++i)
+                    ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                              want[static_cast<std::size_t>(i)])
+                        << "rank " << r << " elem " << i
+                        << " diverges from the serial reference";
+            }
+        }
     }
 
     for (int r = 0; r < kRanks; ++r) {
@@ -146,6 +166,10 @@ TEST(ScaleSmoke, OverlappedDoubleTreeAndRingP512RunOnTheSharedPool)
         ccl::doubleTreeAllReduce(comm, buffers, dt, kChunksPerTree,
                                  ccl::TreePhaseMode::kOverlapped);
         expectExact(buffers, exactSums(kElems), "double tree");
+        expectExact(buffers,
+                    reference::doubleTreeAllReduce(makeBuffers(kElems),
+                                                   dt)[0],
+                    "double tree/serial");
     }
     {
         // The ring slices the buffer into P pieces, so it needs at
@@ -153,6 +177,10 @@ TEST(ScaleSmoke, OverlappedDoubleTreeAndRingP512RunOnTheSharedPool)
         ccl::RankBuffers buffers = makeBuffers(kRanks);
         ccl::ringAllReduce(comm, buffers, ring);
         expectExact(buffers, exactSums(kRanks), "ring");
+        expectExact(buffers,
+                    reference::ringAllReduce(makeBuffers(kRanks),
+                                             ring)[0],
+                    "ring/serial");
     }
 
     // The acceptance bound: 512 functional ranks must not have grown

@@ -133,6 +133,43 @@ TEST(FifoResource, SerializesRequests)
     EXPECT_EQ(res.grants(), 3u);
 }
 
+TEST(FifoResource, ServesInArrivalOrderWhateverTheHold)
+{
+    // FIFO, not shortest-first: a short request queued behind long
+    // ones completes after them (an in-order GPU stream).
+    Simulation sim;
+    FifoResource res(sim, "compute");
+    std::vector<double> done;
+    for (double hold : {1.0, 2.0, 0.5})
+        res.request([hold]() { return hold; },
+                    [&]() { done.push_back(sim.now()); });
+    sim.run();
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_DOUBLE_EQ(done[0], 1.0);
+    EXPECT_DOUBLE_EQ(done[1], 3.0);
+    EXPECT_DOUBLE_EQ(done[2], 3.5);
+    EXPECT_DOUBLE_EQ(res.busyTime(), 3.5);
+    EXPECT_EQ(res.grants(), 3u);
+}
+
+TEST(FifoResource, IndependentResourcesOverlap)
+{
+    // Communication and computation streams on one GPU are separate
+    // resources and overlap — the property C-Cube's chaining exploits.
+    Simulation sim;
+    FifoResource compute(sim, "compute");
+    FifoResource comm(sim, "comm");
+    double compute_done = -1.0;
+    double comm_done = -1.0;
+    compute.request([]() { return 2.0; },
+                    [&]() { compute_done = sim.now(); });
+    comm.request([]() { return 2.0; }, [&]() { comm_done = sim.now(); });
+    const double end = sim.run();
+    EXPECT_DOUBLE_EQ(compute_done, 2.0);
+    EXPECT_DOUBLE_EQ(comm_done, 2.0);
+    EXPECT_DOUBLE_EQ(end, 2.0); // not 4.0: true overlap
+}
+
 TEST(FifoResource, OccupancyIntervalsNeverOverlap)
 {
     Simulation sim;

@@ -4,7 +4,7 @@
  * faults, ladder descent on persistent channel failures, re-admission
  * after probation climbing back to the C-Cube embedding, checkpoint
  * restore semantics, and the `supervisor.rung` trace instants — over
- * all three engine modes.
+ * both engines.
  */
 
 #include <gtest/gtest.h>
@@ -367,15 +367,12 @@ TEST_P(SupervisedCollective, ExhaustedBudgetRestoresOriginalInputs)
 INSTANTIATE_TEST_SUITE_P(
     Modes, SupervisedCollective,
     ::testing::Values(ccl::RankExecutor::Mode::kPersistent,
-                      ccl::RankExecutor::Mode::kSpawnPerCall,
                       ccl::RankExecutor::Mode::kStateMachine),
     [](const ::testing::TestParamInfo<ccl::RankExecutor::Mode>&
            info) {
         switch (info.param) {
           case ccl::RankExecutor::Mode::kPersistent:
             return "persistent";
-          case ccl::RankExecutor::Mode::kSpawnPerCall:
-            return "spawn";
           case ccl::RankExecutor::Mode::kStateMachine:
             return "statemachine";
         }
