@@ -1,10 +1,11 @@
 #include "ccl/algorithm_tasks.h"
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
 
-#include "ccl/fault.h"
 #include "obs/trace.h"
 #include "topo/detour_router.h"
 #include "util/logging.h"
@@ -18,578 +19,269 @@ using topo::NodeId;
 using topo::PhaseDirection;
 using topo::Route;
 
+/** One instruction of a rank's step program (8 bytes). */
+struct Step {
+    enum class Op : std::uint8_t {
+        kSend,       ///< send chunk `chunk` of the buffer on `box`
+        kRecvReduce, ///< receive on `box`, reduce into chunk `chunk`
+        kRecvCopy,   ///< receive on `box`, copy into chunk `chunk`
+        kForward,    ///< peek `box`, send it on box `aux`, release
+        kRecord,     ///< AllReduceTrace::record(rank, global chunk)
+        kSpanBegin,  ///< stamps the start of the next phase span
+        kSpanEnd,    ///< emits the open phase span, named by `aux`
+    };
+
+    /** Flag bits. */
+    enum : std::uint8_t {
+        /** step() returns kContinue after this step (the fairness
+         *  boundary). */
+        kYield = 1,
+        /** A Simple wait that resolves without parking retries the op
+         *  within the same step() call instead of returning. */
+        kRetryInline = 2,
+    };
+
+    /** Span names for kSpanEnd. kTreeForward names the span after
+     *  the detour it serves, "tree.forward <src>-><dst>": the source
+     *  of mailbox `box` and the destination of mailbox `chunk`. */
+    enum SpanName : std::uint8_t {
+        kRingReduceScatter,
+        kRingAllGather,
+        kTreeReduce,
+        kTreeBroadcast,
+        kTreeForward,
+    };
+
+    Op op;
+    std::uint8_t flags;
+    std::uint8_t box; ///< index into the task's mailbox table
+    std::uint8_t aux;
+    std::int32_t chunk; ///< local chunk id: buffer slice and wire tag
+};
+static_assert(sizeof(Step) == 8, "a step program stays compact");
+
 /**
- * Trace span for resumable tasks. obs::ScopedSpan assumes a phase
- * runs start-to-finish on one OS thread; a task parks and migrates
- * across pool workers mid-phase, so the start stamp lives in task
- * state instead and one complete event is emitted at phase end with
- * explicit timestamps, on the track StepContext::traceTrack names
- * (on the pool, track 0 keeps every phase of a rank on a single trace
- * row regardless of which worker executed it).
+ * A rank role's step program under construction: its mailbox table
+ * and ordered step list. Generators emit only the chunks still to
+ * move, so the interpreter never consults a skip mask.
  */
-class PhaseSpan
-{
-  public:
-    /** Stamps the phase start (no-op while tracing is disabled). */
-    void begin()
+struct Program {
+    /** Largest table a role needs: a two-phase tree rank's up and
+     *  down edge to its parent and to each of two children. */
+    static constexpr std::size_t kMaxBoxes = 6;
+
+    std::array<Mailbox*, kMaxBoxes> boxes{};
+    std::uint8_t num_boxes = 0;
+    std::vector<Step> steps;
+
+    /** Adds @p mailbox to the table and returns its index. */
+    std::uint8_t box(Mailbox& mailbox)
     {
-        obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-        start_us_ = recorder.enabled() ? recorder.wallNowUs() : -1.0;
+        CCUBE_CHECK(num_boxes < kMaxBoxes, "mailbox table full");
+        boxes[num_boxes] = &mailbox;
+        return num_boxes++;
     }
 
-    /** Whether begin() stamped a start that end() has yet to emit. */
-    bool open() const { return start_us_ >= 0.0; }
-
-    /** Emits the complete event; a no-op without a matching begin. */
-    void end(const StepContext& ctx, std::string_view name, int rank)
+    void add(Step::Op op, std::uint8_t box = 0, int chunk = 0,
+             std::uint8_t flags = 0, std::uint8_t aux = 0)
     {
-        if (start_us_ < 0.0)
-            return;
-        obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-        if (recorder.enabled())
-            recorder.completeEvent(name, "ccl.allreduce",
-                                   obs::pids::cclRank(rank),
-                                   ctx.traceTrack(), start_us_,
-                                   recorder.wallNowUs() - start_us_);
-        start_us_ = -1.0;
+        steps.push_back(Step{op, flags, box, aux, chunk});
     }
 
-  private:
-    double start_us_ = -1.0;
+    /** One pipeline stage per chunk of @p chunks: @p body emits the
+     *  chunk's steps, the last of which is a fairness boundary unless
+     *  the chunk is the pipeline's last. */
+    template <typename Body>
+    void perChunk(const std::vector<int>& chunks, Body body)
+    {
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+            const std::size_t stage = steps.size();
+            body(chunks[i]);
+            if (i + 1 < chunks.size() && steps.size() > stage)
+                steps.back().flags |= Step::kYield;
+        }
+    }
 };
 
 /**
- * Resumable form of the ring body (ring_allreduce.cpp /
- * primitives.cpp): alternating send/recv steps with the same chunk
- * index formulas, one kContinue per completed pipeline step.
+ * The one task class: interprets a step program over one rank's buffer
+ * region. Each mailbox op notes its begin once (FaultInjector op
+ * indices), tries the non-blocking form, and on failure hands the
+ * StepContext wait back to the engine; the retry resumes at the same
+ * step.
  */
-class RingTask final : public RankTask
+class ProgramTask final : public RankTask
 {
   public:
-    RingTask(int rank, int pos, int p, std::span<float> buffer,
-             const ChunkSplit& split, Mailbox& to_next,
-             Mailbox& from_prev, RingPhase phase, AllReduceTrace* trace,
-             Protocol proto, SkipMask resume)
-        : RankTask(rank, "ring"), pos_(pos), p_(p), buffer_(buffer),
-          split_(split), to_next_(to_next), from_prev_(from_prev),
-          phase_(phase), trace_(trace), proto_(proto),
-          resume_(std::move(resume))
+    ProgramTask(int rank, const char* role, std::span<float> buffer,
+                const ChunkSplit& split, Protocol proto,
+                AllReduceTrace* trace, Program program)
+        : RankTask(rank, role), buffer_(buffer), split_(split),
+          proto_(proto), trace_(trace), boxes_(program.boxes),
+          steps_(std::move(program.steps))
     {
-        if (phase_ == RingPhase::kAllGather)
-            state_ = St::kAgSend;
-        // Phase spans only for the full AllReduce (the one-phase
-        // primitives trace nothing).
-        if (phase_ == RingPhase::kAllReduce)
-            span_.begin();
     }
 
     StepStatus step(StepContext& ctx) override
     {
-        for (;;) {
-            switch (state_) {
-              case St::kRsSend: {
-                if (s_ >= p_ - 1) {
-                    finishReduceScatter(ctx);
-                    break;
-                }
-                const int chunk = (pos_ - s_ + p_) % p_;
-                // Resumed chunk: already final everywhere, both ends
-                // of the hop skip it (same id per step on each side).
-                if (resume_.done(chunk)) {
-                    state_ = St::kRsRecv;
-                    break;
-                }
-                if (!op_begun_) {
-                    to_next_.noteOpBegin(Mailbox::OpKind::kSend);
-                    op_begun_ = true;
-                }
-                if (!to_next_.trySend(
-                        split_.slice(std::span<const float>(buffer_),
-                                     chunk),
-                        chunk, proto_))
-                    return ctx.awaitFreeSlot(to_next_, proto_);
-                op_begun_ = false;
-                state_ = St::kRsRecv;
-                break;
-              }
-              case St::kRsRecv: {
-                const int chunk = (pos_ - s_ - 1 + p_) % p_;
-                if (resume_.done(chunk)) {
-                    ++s_;
-                    state_ = St::kRsSend;
-                    break;
-                }
-                if (!op_begun_) {
-                    from_prev_.noteOpBegin(Mailbox::OpKind::kRecv);
-                    op_begun_ = true;
-                }
-                int tag = -1;
-                if (!from_prev_.tryRecvReduce(
-                        split_.slice(buffer_, chunk), &tag, proto_))
-                    return ctx.awaitArrival(from_prev_, proto_);
-                op_begun_ = false;
-                CCUBE_CHECK(tag == chunk,
-                            "ring chunk out of sequence");
-                ++s_;
-                state_ = St::kRsSend;
-                return StepStatus::kContinue;
-              }
-              case St::kAgSend: {
-                if (s_ >= p_ - 1) {
-                    if (phase_ == RingPhase::kAllReduce)
-                        span_.end(ctx, "ring.allgather", rank());
-                    state_ = St::kDone;
-                    break;
-                }
-                const int chunk = (pos_ + 1 - s_ + p_) % p_;
-                if (resume_.done(chunk)) {
-                    state_ = St::kAgRecv;
-                    break;
-                }
-                if (!op_begun_) {
-                    to_next_.noteOpBegin(Mailbox::OpKind::kSend);
-                    op_begun_ = true;
-                }
-                if (!to_next_.trySend(
-                        split_.slice(std::span<const float>(buffer_),
-                                     chunk),
-                        chunk, proto_))
-                    return ctx.awaitFreeSlot(to_next_, proto_);
-                op_begun_ = false;
-                state_ = St::kAgRecv;
-                break;
-              }
-              case St::kAgRecv: {
-                const int chunk = (pos_ - s_ + p_) % p_;
-                if (resume_.done(chunk)) {
-                    ++s_;
-                    state_ = St::kAgSend;
-                    break;
-                }
-                if (!op_begun_) {
-                    from_prev_.noteOpBegin(Mailbox::OpKind::kRecv);
-                    op_begun_ = true;
-                }
-                int tag = -1;
-                if (!from_prev_.tryRecvInto(
-                        split_.slice(buffer_, chunk), &tag, proto_))
-                    return ctx.awaitArrival(from_prev_, proto_);
-                op_begun_ = false;
-                CCUBE_CHECK(tag == chunk,
-                            "ring chunk out of sequence");
-                if (phase_ == RingPhase::kAllReduce && trace_)
-                    trace_->record(rank(), chunk);
-                ++s_;
-                state_ = St::kAgSend;
-                return StepStatus::kContinue;
-              }
-              case St::kDone:
-                return StepStatus::kDone;
+        while (pc_ < steps_.size()) {
+            const Step& s = steps_[pc_];
+            StepStatus blocked = StepStatus::kContinue;
+            if (!tryExecute(s, ctx, &blocked)) {
+                if (blocked == StepStatus::kContinue &&
+                    (s.flags & Step::kRetryInline) != 0 &&
+                    proto_ == Protocol::kSimple)
+                    continue;
+                return blocked;
             }
+            ++pc_;
+            begun_ = 0;
+            if ((s.flags & Step::kYield) != 0)
+                return StepStatus::kContinue;
         }
+        return StepStatus::kDone;
     }
 
   private:
-    enum class St { kRsSend, kRsRecv, kAgSend, kAgRecv, kDone };
-
-    void finishReduceScatter(const StepContext& ctx)
+    /** Runs @p s; false = blocked, with the wait's status in
+     *  @p blocked. */
+    bool tryExecute(const Step& s, StepContext& ctx,
+                    StepStatus* blocked)
     {
-        if (phase_ == RingPhase::kReduceScatter) {
-            state_ = St::kDone;
-            return;
-        }
-        // This rank now owns the fully reduced chunk at ring position
-        // (pos+1) mod P — the first chunk available here.
-        if (trace_ && !resume_.done((pos_ + 1) % p_))
-            trace_->record(rank(), (pos_ + 1) % p_);
-        span_.end(ctx, "ring.reduce_scatter", rank());
-        span_.begin();
-        s_ = 0;
-        state_ = St::kAgSend;
-    }
-
-    const int pos_;
-    const int p_;
-    const std::span<float> buffer_;
-    const ChunkSplit split_;
-    Mailbox& to_next_;
-    Mailbox& from_prev_;
-    const RingPhase phase_;
-    AllReduceTrace* const trace_;
-    const Protocol proto_;
-    const SkipMask resume_;
-
-    St state_ = St::kRsSend;
-    int s_ = 0;
-    bool op_begun_ = false;
-    PhaseSpan span_;
-};
-
-/**
- * Tree AllReduce and the one-direction tree primitives. One task
- * covers one pipeline of one rank:
- *   - Role::kReduce — the reduction pipeline (at the AllReduce root it
- *     also records completion and, depending on the phase mode, fans
- *     the reduced chunk out to the children inline or in a tail loop);
- *   - Role::kBroadcast — the broadcast pipeline (the root variant
- *     sends its own buffer down, the treeBroadcast primitive);
- *   - Role::kBoth — two-phase non-root: reduction chained into
- *     broadcast in the same task, strictly one after the other.
- * Overlapped non-root ranks get one kReduce and one kBroadcast task:
- * the two pipelines run concurrently (paper §III-C).
- */
-class TreeTask final : public RankTask
-{
-  public:
-    enum class Role { kReduce, kBroadcast, kBoth };
-
-    struct Plan {
-        Plan(std::span<float> buffer, const ChunkSplit& split)
-            : buffer(buffer), split(split)
-        {
-        }
-
-        std::span<float> buffer;
-        ChunkSplit split;
-        bool is_root = false;
-        bool root_broadcasts = false; ///< AllReduce root fans out
-        TreePhaseMode mode = TreePhaseMode::kTwoPhase;
-        Mailbox* up_parent = nullptr;
-        Mailbox* down_parent = nullptr;
-        std::vector<Mailbox*> up_children;
-        std::vector<Mailbox*> down_children;
-        AllReduceTrace* trace = nullptr;
-        int chunk_offset = 0;
-        Protocol proto = Protocol::kSimple;
-        /** Local chunk ids this tree still moves, in pipeline order —
-         *  all of them on a fresh run, the not-yet-final subset on a
-         *  supervised retry. Every rank derives the same list from the
-         *  same mask, so tags stay matched hop by hop; one list is
-         *  shared by every task of the tree. */
-        std::shared_ptr<const std::vector<int>> chunks;
-    };
-
-    TreeTask(int rank, const char* label, Role role, Plan plan)
-        : RankTask(rank, label), role_(role), plan_(std::move(plan))
-    {
-        // Span placement: the reduction and non-root broadcast
-        // pipelines each get a span; the two-phase root's tail fan-out
-        // (kRootSend) traces nothing.
-        if (role_ == Role::kBroadcast) {
-            state_ = plan_.is_root ? St::kRootSend : St::kBcastRecv;
-            if (!plan_.is_root)
-                span_.begin();
-        } else {
-            span_.begin();
-        }
-        // Everything already final (a retry with a full checkpoint):
-        // the pipeline has no chunks to move.
-        if (plan_.chunks->empty())
-            state_ = St::kDone;
-    }
-
-    StepStatus step(StepContext& ctx) override
-    {
-        for (;;) {
-            switch (state_) {
-              case St::kReduceRecv: {
-                if (child_ >= plan_.up_children.size()) {
-                    child_ = 0;
-                    if (!plan_.is_root) {
-                        state_ = St::kReduceSendUp;
-                        break;
-                    }
-                    if (plan_.trace)
-                        plan_.trace->record(
-                            rank(), plan_.chunk_offset + chunkId());
-                    if (plan_.root_broadcasts &&
-                        plan_.mode == TreePhaseMode::kOverlapped) {
-                        state_ = St::kInlineBcast;
-                        break;
-                    }
-                    if (!advanceReduceChunk(ctx))
-                        break;
-                    return StepStatus::kContinue;
-                }
-                Mailbox& box = *plan_.up_children[child_];
-                if (!op_begun_) {
-                    box.noteOpBegin(Mailbox::OpKind::kRecv);
-                    op_begun_ = true;
-                }
-                int tag = -1;
-                if (!box.tryRecvReduce(
-                        plan_.split.slice(plan_.buffer, chunkId()),
-                        &tag, plan_.proto))
-                    return ctx.awaitArrival(box, plan_.proto);
-                op_begun_ = false;
-                CCUBE_CHECK(tag == chunkId(),
-                            "reduction chunk out of order");
-                ++child_;
-                break;
-              }
-              case St::kReduceSendUp: {
-                if (!op_begun_) {
-                    plan_.up_parent->noteOpBegin(Mailbox::OpKind::kSend);
-                    op_begun_ = true;
-                }
-                if (!plan_.up_parent->trySend(constSlice(chunkId()),
-                                              chunkId(), plan_.proto))
-                    return ctx.awaitFreeSlot(*plan_.up_parent,
-                                             plan_.proto);
-                op_begun_ = false;
-                if (!advanceReduceChunk(ctx))
-                    break;
-                return StepStatus::kContinue;
-              }
-              case St::kInlineBcast: {
-                // Overlapped root: chunk fans out the moment it is
-                // fully reduced, then the reduction pipeline resumes.
-                if (child_ >= plan_.down_children.size()) {
-                    child_ = 0;
-                    if (!advanceReduceChunk(ctx))
-                        break;
-                    return StepStatus::kContinue;
-                }
-                if (!trySendChild(ctx, chunkId()))
-                    return blocked_status_;
-                break;
-              }
-              case St::kRootSend: {
-                // Two-phase root tail / treeBroadcast root: push own
-                // buffer down chunk by chunk.
-                if (child_ >= plan_.down_children.size()) {
-                    child_ = 0;
-                    ++chunk_;
-                    if (chunk_ >= activeCount()) {
-                        state_ = St::kDone;
-                        break;
-                    }
-                    return StepStatus::kContinue;
-                }
-                if (!trySendChild(ctx, chunkId()))
-                    return blocked_status_;
-                break;
-              }
-              case St::kBcastRecv: {
-                Mailbox& box = *plan_.down_parent;
-                if (!op_begun_) {
-                    box.noteOpBegin(Mailbox::OpKind::kRecv);
-                    op_begun_ = true;
-                }
-                int tag = -1;
-                if (!box.tryRecvInto(
-                        plan_.split.slice(plan_.buffer, chunkId()),
-                        &tag, plan_.proto))
-                    return ctx.awaitArrival(box, plan_.proto);
-                op_begun_ = false;
-                CCUBE_CHECK(tag == chunkId(),
-                            "broadcast chunk out of order");
-                if (plan_.trace)
-                    plan_.trace->record(rank(),
-                                        plan_.chunk_offset + chunkId());
-                state_ = St::kBcastSendDown;
-                break;
-              }
-              case St::kBcastSendDown: {
-                if (child_ >= plan_.down_children.size()) {
-                    child_ = 0;
-                    ++chunk_;
-                    if (chunk_ >= activeCount()) {
-                        span_.end(ctx, "tree.broadcast", rank());
-                        state_ = St::kDone;
-                        break;
-                    }
-                    state_ = St::kBcastRecv;
-                    return StepStatus::kContinue;
-                }
-                if (!trySendChild(ctx, chunkId()))
-                    return blocked_status_;
-                break;
-              }
-              case St::kDone:
-                return StepStatus::kDone;
-            }
-        }
-    }
-
-  private:
-    enum class St {
-        kReduceRecv,
-        kReduceSendUp,
-        kInlineBcast,
-        kRootSend,
-        kBcastRecv,
-        kBcastSendDown,
-        kDone,
-    };
-
-    std::span<const float> constSlice(int chunk) const
-    {
-        return plan_.split.slice(
-            std::span<const float>(plan_.buffer), chunk);
-    }
-
-    /** Chunks this pipeline still moves (plan_.chunks entries). */
-    int activeCount() const
-    {
-        return static_cast<int>(plan_.chunks->size());
-    }
-
-    /** Local chunk id at pipeline position chunk_. */
-    int chunkId() const
-    {
-        return (*plan_.chunks)[static_cast<std::size_t>(chunk_)];
-    }
-
-    /** Sends chunk @p chunk to down_children[child_]; false = blocked
-     *  (the caller must return blocked_status_: kParked under Simple,
-     *  kContinue under LL where parking is impossible; a racing post
-     *  already turned the park into an immediate retry via the loop). */
-    bool trySendChild(StepContext& ctx, int chunk)
-    {
-        Mailbox& box = *plan_.down_children[child_];
-        if (!op_begun_) {
-            box.noteOpBegin(Mailbox::OpKind::kSend);
-            op_begun_ = true;
-        }
-        if (!box.trySend(constSlice(chunk), chunk, plan_.proto)) {
-            const StepStatus blocked =
-                ctx.awaitFreeSlot(box, plan_.proto);
-            if (blocked == StepStatus::kParked ||
-                plan_.proto == Protocol::kLL) {
-                blocked_status_ = blocked;
+        switch (s.op) {
+          case Step::Op::kSend: {
+            Mailbox& box = *boxes_[s.box];
+            noteBegin(box, Mailbox::OpKind::kSend, 1);
+            if (box.trySend(split_.slice(std::span<const float>(buffer_),
+                                         s.chunk),
+                            s.chunk, proto_))
+                return true;
+            *blocked = ctx.awaitFreeSlot(box, proto_);
+            return false;
+          }
+          case Step::Op::kRecvReduce:
+          case Step::Op::kRecvCopy: {
+            Mailbox& box = *boxes_[s.box];
+            noteBegin(box, Mailbox::OpKind::kRecv, 1);
+            const std::span<float> dst =
+                split_.slice(buffer_, s.chunk);
+            int tag = -1;
+            const bool got = s.op == Step::Op::kRecvReduce
+                                 ? box.tryRecvReduce(dst, &tag, proto_)
+                                 : box.tryRecvInto(dst, &tag, proto_);
+            if (!got) {
+                *blocked = ctx.awaitArrival(box, proto_);
                 return false;
             }
-            return true; // raced in: retry the send on the next loop
+            CCUBE_CHECK(tag == s.chunk, "chunk out of sequence");
+            return true;
+          }
+          case Step::Op::kForward: {
+            // The paper's static forwarding kernel (§IV-A): peek the
+            // upstream chunk in place, send it downstream, release the
+            // upstream buffer — zero staging copies.
+            Mailbox& in = *boxes_[s.box];
+            Mailbox& out = *boxes_[s.aux];
+            noteBegin(in, Mailbox::OpKind::kRecv, 1);
+            std::span<const float> data;
+            int tag = -1;
+            if (!in.tryPeek(&data, &tag, proto_)) {
+                CCUBE_CHECK(begun_ < 2,
+                            "claimed forward chunk vanished");
+                *blocked = ctx.awaitArrival(in, proto_);
+                return false;
+            }
+            noteBegin(out, Mailbox::OpKind::kSend, 2);
+            if (!out.trySend(data, tag, proto_)) {
+                *blocked = ctx.awaitFreeSlot(out, proto_);
+                return false;
+            }
+            in.releaseFront();
+            return true;
+          }
+          case Step::Op::kRecord:
+            trace_->record(rank(), s.chunk);
+            return true;
+          case Step::Op::kSpanBegin: {
+            obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+            span_start_us_ =
+                recorder.enabled() ? recorder.wallNowUs() : -1.0;
+            return true;
+          }
+          case Step::Op::kSpanEnd:
+            endSpan(ctx, s);
+            return true;
         }
-        op_begun_ = false;
-        ++child_;
         return true;
     }
 
-    /** Advances the reduction pipeline to the next chunk; returns
-     *  false when the reduction is over (state_ already moved on). */
-    bool advanceReduceChunk(const StepContext& ctx)
+    /** Notes the begin of the step's @p nth mailbox op, once. */
+    void noteBegin(Mailbox& box, Mailbox::OpKind kind, int nth)
     {
-        ++chunk_;
-        if (chunk_ < activeCount()) {
-            state_ = St::kReduceRecv;
-            return true;
-        }
-        chunk_ = 0;
-        child_ = 0;
-        span_.end(ctx, "tree.reduce", rank());
-        if (plan_.is_root && plan_.root_broadcasts &&
-            plan_.mode == TreePhaseMode::kTwoPhase) {
-            state_ = St::kRootSend;
-            return false;
-        }
-        if (role_ == Role::kBoth) {
-            span_.begin();
-            state_ = St::kBcastRecv;
-            return false;
-        }
-        state_ = St::kDone;
-        return false;
+        if (begun_ >= nth)
+            return;
+        box.noteOpBegin(kind);
+        begun_ = nth;
     }
 
-    const Role role_;
-    Plan plan_;
-
-    St state_ = St::kReduceRecv;
-    int chunk_ = 0;
-    std::size_t child_ = 0;
-    bool op_begun_ = false;
-    StepStatus blocked_status_ = StepStatus::kParked;
-    PhaseSpan span_;
-};
-
-/**
- * Detour forwarder — the software analog of the paper's static
- * forwarding kernels (§IV-A): peek the upstream chunk in place, send
- * it downstream, then release the upstream receive buffer — zero
- * staging copies.
- */
-class ForwardTask final : public RankTask
-{
-  public:
-    ForwardTask(int transit, int upstream, int downstream, Mailbox& in,
-                Mailbox& out, int num_chunks, Protocol proto)
-        : RankTask(transit, "forward"), in_(in), out_(out),
-          num_chunks_(num_chunks), proto_(proto), upstream_(upstream),
-          downstream_(downstream)
+    /**
+     * Emits the open phase span. obs::ScopedSpan assumes a phase runs
+     * start-to-finish on one OS thread; a task parks and migrates
+     * across pool workers mid-phase, so the start stamp lives in the
+     * task and one complete event is emitted at phase end, on the
+     * track StepContext::traceTrack names (on the pool, track 0 keeps
+     * every phase of a rank on one trace row).
+     */
+    void endSpan(const StepContext& ctx, const Step& s)
     {
-        span_.begin();
+        if (span_start_us_ < 0.0)
+            return;
+        obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+        if (recorder.enabled())
+            recorder.completeEvent(
+                spanName(s), "ccl.allreduce", obs::pids::cclRank(rank()),
+                ctx.traceTrack(), span_start_us_,
+                recorder.wallNowUs() - span_start_us_);
+        span_start_us_ = -1.0;
     }
 
-    StepStatus step(StepContext& ctx) override
+    std::string spanName(const Step& s) const
     {
-        for (;;) {
-            switch (state_) {
-              case St::kAwaitChunk: {
-                if (chunk_ >= num_chunks_) {
-                    if (span_.open())
-                        span_.end(ctx,
-                                  "tree.forward " +
-                                      std::to_string(upstream_) + "->" +
-                                      std::to_string(downstream_),
-                                  rank());
-                    state_ = St::kDone;
-                    break;
-                }
-                if (!in_begun_) {
-                    in_.noteOpBegin(Mailbox::OpKind::kRecv);
-                    in_begun_ = true;
-                }
-                std::span<const float> data;
-                int tag = -1;
-                if (!in_.tryPeek(&data, &tag, proto_))
-                    return ctx.awaitArrival(in_, proto_);
-                state_ = St::kSendOn;
-                break;
-              }
-              case St::kSendOn: {
-                std::span<const float> data;
-                int tag = -1;
-                const bool have = in_.tryPeek(&data, &tag, proto_);
-                CCUBE_CHECK(have, "claimed forward chunk vanished");
-                if (!out_begun_) {
-                    out_.noteOpBegin(Mailbox::OpKind::kSend);
-                    out_begun_ = true;
-                }
-                if (!out_.trySend(data, tag, proto_))
-                    return ctx.awaitFreeSlot(out_, proto_);
-                in_.releaseFront();
-                in_begun_ = false;
-                out_begun_ = false;
-                ++chunk_;
-                state_ = St::kAwaitChunk;
-                return StepStatus::kContinue;
-              }
-              case St::kDone:
-                return StepStatus::kDone;
-            }
+        switch (s.aux) {
+          case Step::kRingReduceScatter: return "ring.reduce_scatter";
+          case Step::kRingAllGather: return "ring.allgather";
+          case Step::kTreeReduce: return "tree.reduce";
+          case Step::kTreeBroadcast: return "tree.broadcast";
+          default:
+            return "tree.forward " +
+                   std::to_string(boxes_[s.box]->srcRank()) + "->" +
+                   std::to_string(boxes_[s.chunk]->dstRank());
         }
     }
 
-  private:
-    enum class St { kAwaitChunk, kSendOn, kDone };
-
-    Mailbox& in_;
-    Mailbox& out_;
-    const int num_chunks_;
+    const std::span<float> buffer_;
+    const ChunkSplit split_;
     const Protocol proto_;
+    AllReduceTrace* const trace_;
+    const std::array<Mailbox*, Program::kMaxBoxes> boxes_;
+    const std::vector<Step> steps_;
 
-    St state_ = St::kAwaitChunk;
-    int chunk_ = 0;
-    bool in_begun_ = false;
-    bool out_begun_ = false;
-    const int upstream_;
-    const int downstream_;
-    PhaseSpan span_;
+    std::size_t pc_ = 0;
+    int begun_ = 0; ///< mailbox ops of steps_[pc_] whose begin is noted
+    double span_start_us_ = -1.0; ///< open phase span; < 0: none
 };
 
 } // namespace
+
+void
+checkBuffers(const Communicator& comm, const RankBuffers& buffers)
+{
+    CCUBE_CHECK(static_cast<int>(buffers.size()) == comm.numRanks(),
+                "one buffer per rank required");
+    for (const auto& b : buffers)
+        CCUBE_CHECK(b.size() == buffers[0].size(),
+                    "all buffers must be equally sized");
+}
 
 std::vector<std::unique_ptr<RankTask>>
 buildRingTasks(Communicator& comm, RankBuffers& buffers,
@@ -598,7 +290,11 @@ buildRingTasks(Communicator& comm, RankBuffers& buffers,
                const SkipMask& resume)
 {
     const int p = comm.numRanks();
+    CCUBE_CHECK(ring.size() == p, "ring/communicator size mismatch");
     const ChunkSplit split(buffers[0].size(), p);
+    const bool all_reduce = phase == RingPhase::kAllReduce;
+    if (!all_reduce)
+        trace = nullptr;
 
     std::vector<int> position(static_cast<std::size_t>(p), -1);
     for (int pos = 0; pos < p; ++pos)
@@ -613,12 +309,57 @@ buildRingTasks(Communicator& comm, RankBuffers& buffers,
             ring.order[static_cast<std::size_t>((pos + 1) % p)];
         const int prev =
             ring.order[static_cast<std::size_t>((pos + p - 1) % p)];
-        tasks.push_back(std::make_unique<RingTask>(
-            rank, pos, p,
+        Program prog;
+        const std::uint8_t to_next =
+            prog.box(comm.mailbox(rank, next, kFlowRing));
+        const std::uint8_t from_prev =
+            prog.box(comm.mailbox(prev, rank, kFlowRing));
+        prog.steps.reserve(static_cast<std::size_t>(5 * p + 4));
+        // One phase: P - 1 pipeline steps, each sending one chunk on,
+        // taking the previous chunk id in, then yielding; the chunk
+        // received is the next one sent. A chunk final everywhere is
+        // skipped at both ends of the hop (same id per step on each
+        // side).
+        auto phaseSteps = [&](int send, Step::Op recv_op) {
+            for (int s = 0; s < p - 1; ++s) {
+                const int recv = send == 0 ? p - 1 : send - 1;
+                if (!resume.done(send))
+                    prog.add(Step::Op::kSend, to_next, send);
+                send = recv;
+                if (resume.done(recv))
+                    continue;
+                prog.add(recv_op, from_prev, recv);
+                if (trace != nullptr && recv_op == Step::Op::kRecvCopy)
+                    prog.add(Step::Op::kRecord, 0, recv);
+                prog.steps.back().flags |= Step::kYield;
+            }
+        };
+
+        if (phase != RingPhase::kAllGather) {
+            if (all_reduce)
+                prog.add(Step::Op::kSpanBegin);
+            phaseSteps(pos, Step::Op::kRecvReduce);
+            if (all_reduce) {
+                // This rank now owns the fully reduced chunk at ring
+                // position pos + 1 — the first chunk available here.
+                const int owned = (pos + 1) % p;
+                if (trace != nullptr && !resume.done(owned))
+                    prog.add(Step::Op::kRecord, 0, owned);
+                prog.add(Step::Op::kSpanEnd, 0, 0, 0,
+                         Step::kRingReduceScatter);
+                prog.add(Step::Op::kSpanBegin);
+            }
+        }
+        if (phase != RingPhase::kReduceScatter) {
+            phaseSteps((pos + 1) % p, Step::Op::kRecvCopy);
+            if (all_reduce)
+                prog.add(Step::Op::kSpanEnd, 0, 0, 0,
+                         Step::kRingAllGather);
+        }
+        tasks.push_back(std::make_unique<ProgramTask>(
+            rank, "ring",
             std::span<float>(buffers[static_cast<std::size_t>(rank)]),
-            split, comm.mailbox(rank, next, kFlowRing),
-            comm.mailbox(prev, rank, kFlowRing), phase, trace,
-            proto, resume));
+            split, proto, trace, std::move(prog)));
         tasks.back()->setMain(true);
     }
     return tasks;
@@ -637,20 +378,31 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
 {
     const topo::BinaryTree& tree = embedding.tree;
     const int p = comm.numRanks();
-    const int num_chunks = split.count();
+    CCUBE_CHECK(tree.numNodes() == p,
+                "tree/communicator size mismatch");
     const bool want_reduce = direction != TreeDirection::kBroadcast;
     const bool want_bcast = direction != TreeDirection::kReduce;
+    const bool all_reduce = direction == TreeDirection::kAllReduce;
+    if (!all_reduce)
+        trace = nullptr;
 
-    // Active chunk list: the local chunk ids this tree still moves.
-    // Every rank (and every forwarder) derives the same list from the
-    // same global mask, so the pipelines stay in lockstep and tags
-    // match hop by hop even when a retry skips finished chunks.
-    auto active = std::make_shared<std::vector<int>>();
-    active->reserve(static_cast<std::size_t>(num_chunks));
-    for (int c = 0; c < num_chunks; ++c)
+    // The local chunk ids this tree still moves. Every rank (and every
+    // forwarder) derives the same list from the same global mask, so
+    // the pipelines stay in lockstep and tags match hop by hop even
+    // when a retry skips finished chunks.
+    std::vector<int> chunks;
+    chunks.reserve(static_cast<std::size_t>(split.count()));
+    for (int c = 0; c < split.count(); ++c)
         if (!resume.done(chunk_id_offset + c))
-            active->push_back(c);
-    const int active_count = static_cast<int>(active->size());
+            chunks.push_back(c);
+
+    auto makeTask = [&](int rank, const char* role, Program program) {
+        return std::make_unique<ProgramTask>(
+            rank, role,
+            std::span<float>(buffers[static_cast<std::size_t>(rank)])
+                .subspan(region_offset, region_size),
+            split, proto, trace, std::move(program));
+    };
 
     // Detour forwarders of this tree, filtered to the direction(s) in
     // play, each its own task on the transit rank.
@@ -662,107 +414,124 @@ appendTreeTasks(std::vector<std::unique_ptr<RankTask>>& out,
             continue;
         const FlowId flow =
             reduction ? flows.reduce : flows.broadcast;
-        out.push_back(std::make_unique<ForwardTask>(
-            rule.transit, rule.upstream, rule.downstream,
-            comm.mailbox(rule.upstream, rule.transit, flow),
-            comm.mailbox(rule.transit, rule.downstream, flow),
-            active_count, proto));
+        Program prog;
+        const std::uint8_t in =
+            prog.box(comm.mailbox(rule.upstream, rule.transit, flow));
+        const std::uint8_t fwd =
+            prog.box(comm.mailbox(rule.transit, rule.downstream, flow));
+        prog.steps.reserve(chunks.size() + 2);
+        prog.add(Step::Op::kSpanBegin);
+        for (int chunk : chunks)
+            prog.add(Step::Op::kForward, in, chunk, Step::kYield, fwd);
+        prog.add(Step::Op::kSpanEnd, in, fwd, 0, Step::kTreeForward);
+        out.push_back(makeTask(rule.transit, "forward", std::move(prog)));
     }
 
-    // Route of every node's edge from its parent, indexed by node,
-    // resolved in one pass over the embedding (routeToChild rescans
-    // every edge per lookup). A route runs parent → child, so its last
-    // hop names the child.
-    std::vector<const Route*> route_from_parent(
-        static_cast<std::size_t>(p), nullptr);
-    for (const Route& route : embedding.routes)
-        route_from_parent[static_cast<std::size_t>(route.hops.back())] =
-            &route;
+    // First and last physical hop of every node's edge from its
+    // parent, in one pass over the routes (a route runs parent →
+    // child, so its last hop names the child).
+    std::vector<NodeId> hop_from_parent(static_cast<std::size_t>(p));
+    std::vector<NodeId> hop_to_parent(static_cast<std::size_t>(p));
+    for (const Route& route : embedding.routes) {
+        const auto child = static_cast<std::size_t>(route.hops.back());
+        hop_from_parent[child] = route.hops[1];
+        hop_to_parent[child] = route.hops[route.hops.size() - 2];
+    }
 
+    const bool overlapped = mode == TreePhaseMode::kOverlapped;
+    // Everything already final (a retry with a full checkpoint): the
+    // pipelines have nothing to move and trace nothing.
+    const bool moving = !chunks.empty();
     for (int rank = 0; rank < p; ++rank) {
-        TreeTask::Plan plan(
-            std::span<float>(buffers[static_cast<std::size_t>(rank)])
-                .subspan(region_offset, region_size),
-            split);
-        plan.is_root = tree.root() == rank;
-        plan.root_broadcasts =
-            direction == TreeDirection::kAllReduce;
-        plan.mode = mode;
-        plan.trace =
-            direction == TreeDirection::kAllReduce ? trace : nullptr;
-        plan.chunk_offset = chunk_id_offset;
-        plan.proto = proto;
-        plan.chunks = active;
+        const bool is_root = tree.root() == rank;
+        // Overlapped non-root AllReduce ranks run the reducer and the
+        // broadcaster concurrently (paper §III-C), one task each with
+        // its own direction's mailboxes.
+        const bool split_roles = all_reduce && overlapped && !is_root;
+        Program prog, bcast_prog;
+        Program& bcast = split_roles ? bcast_prog : prog;
 
-        if (!plan.is_root) {
-            const Route& route =
-                *route_from_parent[static_cast<std::size_t>(rank)];
-            const NodeId parent_hop =
-                route.hops[route.hops.size() - 2];
-            if (want_reduce)
-                plan.up_parent =
-                    &comm.mailbox(rank, parent_hop, flows.reduce);
-            if (want_bcast)
-                plan.down_parent = &comm.mailbox(parent_hop, rank,
-                                                 flows.broadcast);
-        }
-        for (NodeId child : tree.children(rank)) {
+        std::uint8_t up_parent = 0, down_parent = 0;
+        if (!is_root) {
             const NodeId hop =
-                route_from_parent[static_cast<std::size_t>(child)]
-                    ->hops[1];
+                hop_to_parent[static_cast<std::size_t>(rank)];
             if (want_reduce)
-                plan.up_children.push_back(
-                    &comm.mailbox(hop, rank, flows.reduce));
+                up_parent =
+                    prog.box(comm.mailbox(rank, hop, flows.reduce));
             if (want_bcast)
-                plan.down_children.push_back(
-                    &comm.mailbox(rank, hop, flows.broadcast));
+                down_parent =
+                    bcast.box(comm.mailbox(hop, rank, flows.broadcast));
+        }
+        // The edges to the children, in child order, take consecutive
+        // table indices from up_first / down_first.
+        const std::vector<NodeId>& children = tree.children(rank);
+        auto hop = [&](NodeId child) {
+            return hop_from_parent[static_cast<std::size_t>(child)];
+        };
+        const std::uint8_t up_first = prog.num_boxes;
+        for (NodeId child : children)
+            if (want_reduce)
+                prog.box(comm.mailbox(hop(child), rank, flows.reduce));
+        const std::uint8_t down_first = bcast.num_boxes;
+        for (NodeId child : children)
+            if (want_bcast)
+                bcast.box(
+                    comm.mailbox(rank, hop(child), flows.broadcast));
+        const auto num_children =
+            static_cast<std::uint8_t>(children.size());
+        // Per chunk at most: a receive per child, a send or record, a
+        // send per child (+ a receive and record when not split).
+        const std::size_t per_chunk = 2u * num_children + 3;
+        prog.steps.reserve(chunks.size() * per_chunk + 4);
+        if (split_roles)
+            bcast.steps.reserve(chunks.size() * per_chunk + 2);
+        auto record = [&](Program& to, int chunk) {
+            if (trace != nullptr)
+                to.add(Step::Op::kRecord, 0, chunk_id_offset + chunk);
+        };
+        auto sendDown = [&](int chunk) {
+            for (std::uint8_t k = 0; k < num_children; ++k)
+                bcast.add(Step::Op::kSend, down_first + k, chunk,
+                          Step::kRetryInline);
+        };
+
+        if (moving && want_reduce) {
+            prog.add(Step::Op::kSpanBegin);
+            prog.perChunk(chunks, [&](int chunk) {
+                for (std::uint8_t k = 0; k < num_children; ++k)
+                    prog.add(Step::Op::kRecvReduce, up_first + k, chunk);
+                if (!is_root) {
+                    prog.add(Step::Op::kSend, up_parent, chunk);
+                    return;
+                }
+                record(prog, chunk);
+                // Overlapped root: the chunk fans out the moment it is
+                // fully reduced.
+                if (all_reduce && overlapped)
+                    sendDown(chunk);
+            });
+            prog.add(Step::Op::kSpanEnd, 0, 0, 0, Step::kTreeReduce);
+        }
+        if (moving && want_bcast && is_root &&
+            !(all_reduce && overlapped)) {
+            // Two-phase AllReduce root or treeBroadcast root: push the
+            // root's buffer down chunk by chunk (no span).
+            prog.perChunk(chunks, sendDown);
+        } else if (moving && want_bcast && !is_root) {
+            bcast.add(Step::Op::kSpanBegin);
+            bcast.perChunk(chunks, [&](int chunk) {
+                bcast.add(Step::Op::kRecvCopy, down_parent, chunk);
+                record(bcast, chunk);
+                sendDown(chunk);
+            });
+            bcast.add(Step::Op::kSpanEnd, 0, 0, 0, Step::kTreeBroadcast);
         }
 
-        switch (direction) {
-          case TreeDirection::kReduce:
-            out.push_back(std::make_unique<TreeTask>(
-                rank, label, TreeTask::Role::kReduce,
-                std::move(plan)));
-            break;
-          case TreeDirection::kBroadcast:
-            out.push_back(std::make_unique<TreeTask>(
-                rank, label, TreeTask::Role::kBroadcast,
-                std::move(plan)));
-            break;
-          case TreeDirection::kAllReduce:
-            if (plan.is_root) {
-                out.push_back(std::make_unique<TreeTask>(
-                    rank, label, TreeTask::Role::kReduce,
-                    std::move(plan)));
-            } else if (mode == TreePhaseMode::kTwoPhase) {
-                out.push_back(std::make_unique<TreeTask>(
-                    rank, label, TreeTask::Role::kBoth,
-                    std::move(plan)));
-            } else {
-                // Overlapped non-root: concurrent reducer and
-                // broadcaster pipelines, one task each, each with only
-                // its own direction's mailboxes (no plan copy: every
-                // call builds its tasks on the calling thread).
-                TreeTask::Plan bcast_plan(plan.buffer, plan.split);
-                bcast_plan.mode = mode;
-                bcast_plan.down_parent = plan.down_parent;
-                bcast_plan.down_children =
-                    std::move(plan.down_children);
-                bcast_plan.trace = plan.trace;
-                bcast_plan.chunk_offset = chunk_id_offset;
-                bcast_plan.proto = proto;
-                bcast_plan.chunks = plan.chunks;
-                out.push_back(std::make_unique<TreeTask>(
-                    rank, "reduce", TreeTask::Role::kReduce,
-                    std::move(plan)));
-                out.push_back(std::make_unique<TreeTask>(
-                    rank, label, TreeTask::Role::kBroadcast,
-                    std::move(bcast_plan)));
-            }
-            break;
-        }
-        // The rank's pipeline task (the broadcaster when overlapped;
-        // the reducer is a helper beside it) is appended last.
+        if (split_roles)
+            out.push_back(makeTask(rank, "reduce", std::move(prog)));
+        // The rank's pipeline task (the broadcaster when the roles are
+        // split; the reducer is a helper beside it) is appended last.
+        out.push_back(makeTask(rank, label, std::move(bcast)));
         out.back()->setMain(true);
     }
 }

@@ -3,20 +3,36 @@
 
 /**
  * @file
- * RankTask builders for the collective algorithms — the one encoding
- * of every functional collective. ringAllReduce, treeAllReduce,
- * doubleTreeAllReduce and the primitives build these task sets and
- * hand them to Communicator::runTasks, which runs them on whichever
- * engine the communicator was created with: the shared state-machine
- * pool (StateMachineEngine) or one dedicated thread per task
- * (RankExecutor::runTasks).
+ * Step-program generators for the collective algorithms — the one
+ * encoding of every functional collective. ringAllReduce,
+ * treeAllReduce, doubleTreeAllReduce and the primitives build these
+ * task sets and hand them to Communicator::runTasks, which runs them
+ * on whichever engine the communicator was created with: the shared
+ * state-machine pool (StateMachineEngine) or one dedicated thread per
+ * task (RankExecutor::runTasks).
  *
- * Every builder constructs the complete task set of one collective up
- * front: one task per rank role (ring body; tree reducer/broadcaster;
- * the second tree of a double tree) plus one ForwardTask per detour
- * forwarding rule. Mailbox plans are resolved at build time, so the
- * chunk loops do no registry lookups at all (the analog of the paper
- * compiling its data-movement plan into the persistent kernel).
+ * Each builder compiles one collective into one step program per
+ * rank role (ring body; tree reducer/broadcaster, two per non-root
+ * rank of an overlapped AllReduce; one forwarder per detour rule), the
+ * analog of the paper compiling its data movement into a static plan
+ * that persistent kernels replay (§IV-A), and of SCCL's per-step
+ * send/recv programs. A program is a mailbox table resolved at build
+ * time (the chunk loops do no registry lookups) plus an ordered list
+ * of 8-byte steps:
+ *
+ *   - send, recv-reduce, recv-copy: one chunk on one mailbox;
+ *   - forward: peek the upstream chunk in place, send it on, release
+ *     it (a detour transit's zero-copy forwarding kernel);
+ *   - record: the chunk is final here (AllReduceTrace);
+ *   - span begin/end: the phase spans ("ring.reduce_scatter",
+ *     "tree.reduce", "tree.forward U->D", ...).
+ *
+ * One RankTask subclass interprets every program. A yield flag on a
+ * step marks the kContinue fairness boundary after it; a failed op
+ * returns the StepContext wait and is retried at the same step. Ring
+ * vs tree, two-phase vs overlapped, AllReduce vs one-phase primitive
+ * and the resume mask are generator parameters only: a chunk already
+ * final at every rank (ccl::SkipMask) gets no steps at all.
  *
  * Protocol fidelity: each rank performs its mailbox operations in one
  * fixed order per pipeline (same Fig. 11 post/wait sequence, same
@@ -45,6 +61,10 @@
 namespace ccube {
 namespace ccl {
 
+/** Panics unless @p buffers holds one buffer per rank of @p comm, all
+ *  of one length — the precondition of every builder below. */
+void checkBuffers(const Communicator& comm, const RankBuffers& buffers);
+
 /** Which phases of the ring protocol the tasks execute. */
 enum class RingPhase {
     kReduceScatter, ///< ringReduceScatter primitive
@@ -55,8 +75,8 @@ enum class RingPhase {
 /**
  * One task per rank running the ring body. @p trace is recorded only
  * for RingPhase::kAllReduce (may be null otherwise). @p resume skips
- * chunks already final at every rank (see ccl::ChunkCheckpoint); every
- * task copies the mask, so the caller's may go out of scope.
+ * chunks already final at every rank (see ccl::ChunkCheckpoint); it is
+ * read only while the programs are generated.
  */
 std::vector<std::unique_ptr<RankTask>>
 buildRingTasks(Communicator& comm, RankBuffers& buffers,
@@ -75,10 +95,11 @@ enum class TreeDirection {
 /**
  * Appends the task set of one tree instance operating on the buffer
  * region [region_offset, region_offset + region_size) of every rank:
- * per-rank tree tasks (two per non-root rank in overlapped mode — the
- * concurrent reducer/broadcaster pipelines) plus forwarders for the
- * embedding's detour rules. Chunk ids recorded into @p trace (when
- * non-null, kAllReduce only) are offset by @p chunk_id_offset;
+ * per-rank tree tasks (two per non-root rank of an overlapped
+ * AllReduce — the concurrent reducer/broadcaster pipelines) plus
+ * forwarders for the embedding's detour rules. Chunk ids recorded
+ * into @p trace (when non-null, kAllReduce only) are offset by
+ * @p chunk_id_offset;
  * @p label names the main tree tasks in watchdog blame ("tree0",
  * "tree1", ...; a string literal, stored by pointer). The one-
  * direction primitives pass the same flow for both TreeFlowIds slots.

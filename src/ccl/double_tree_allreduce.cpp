@@ -13,17 +13,7 @@ doubleTreeAllReduce(Communicator& comm, RankBuffers& buffers,
                     AllReduceTrace::Observer observer, Protocol proto,
                     const SkipMask& resume)
 {
-    const int p = comm.numRanks();
-    CCUBE_CHECK(static_cast<int>(buffers.size()) == p,
-                "one buffer per rank required");
-    CCUBE_CHECK(embedding.tree0.tree.numNodes() == p &&
-                    embedding.tree1.tree.numNodes() == p,
-                "tree/communicator size mismatch");
-    for (const auto& b : buffers) {
-        CCUBE_CHECK(b.size() == buffers[0].size(),
-                    "all buffers must be equally sized");
-    }
-
+    checkBuffers(comm, buffers);
     const std::size_t total = buffers[0].size();
     const std::size_t half = total / 2;
     CCUBE_CHECK(half >= static_cast<std::size_t>(chunks_per_tree) &&
@@ -31,7 +21,7 @@ doubleTreeAllReduce(Communicator& comm, RankBuffers& buffers,
                                         chunks_per_tree),
                 "buffer too small for the requested chunking");
 
-    AllReduceTrace trace(p);
+    AllReduceTrace trace(comm.numRanks());
     trace.setObserver(std::move(observer));
 
     comm.runTasks(buildDoubleTreeTasks(comm, buffers, embedding,

@@ -15,29 +15,12 @@
 namespace ccube {
 namespace ccl {
 
-namespace {
-
-void
-checkBuffers(const Communicator& comm, const RankBuffers& buffers)
-{
-    CCUBE_CHECK(static_cast<int>(buffers.size()) == comm.numRanks(),
-                "one buffer per rank required");
-    for (const auto& b : buffers) {
-        CCUBE_CHECK(b.size() == buffers[0].size(),
-                    "all buffers must be equally sized");
-    }
-}
-
-} // namespace
-
 void
 treeBroadcast(Communicator& comm, RankBuffers& buffers,
               const topo::TreeEmbedding& embedding, int num_chunks,
               FlowId flow, Protocol proto)
 {
     checkBuffers(comm, buffers);
-    CCUBE_CHECK(embedding.tree.numNodes() == comm.numRanks(),
-                "tree/communicator size mismatch");
     const ChunkSplit split(buffers[0].size(), num_chunks);
 
     std::vector<std::unique_ptr<RankTask>> tasks;
@@ -54,8 +37,6 @@ treeReduce(Communicator& comm, RankBuffers& buffers,
            FlowId flow, Protocol proto)
 {
     checkBuffers(comm, buffers);
-    CCUBE_CHECK(embedding.tree.numNodes() == comm.numRanks(),
-                "tree/communicator size mismatch");
     const ChunkSplit split(buffers[0].size(), num_chunks);
 
     std::vector<std::unique_ptr<RankTask>> tasks;
@@ -71,9 +52,6 @@ ringReduceScatter(Communicator& comm, RankBuffers& buffers,
                   const topo::RingEmbedding& ring, Protocol proto)
 {
     checkBuffers(comm, buffers);
-    const int p = comm.numRanks();
-    CCUBE_CHECK(ring.size() == p, "ring/communicator size mismatch");
-
     comm.runTasks(buildRingTasks(comm, buffers, ring,
                                  RingPhase::kReduceScatter, nullptr,
                                  proto),
@@ -85,9 +63,6 @@ ringAllGather(Communicator& comm, RankBuffers& buffers,
               const topo::RingEmbedding& ring, Protocol proto)
 {
     checkBuffers(comm, buffers);
-    const int p = comm.numRanks();
-    CCUBE_CHECK(ring.size() == p, "ring/communicator size mismatch");
-
     comm.runTasks(buildRingTasks(comm, buffers, ring,
                                  RingPhase::kAllGather, nullptr, proto),
                   "ring_all_gather", proto);

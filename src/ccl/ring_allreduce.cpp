@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "ccl/algorithm_tasks.h"
-#include "util/logging.h"
 
 namespace ccube {
 namespace ccl {
@@ -14,16 +13,8 @@ ringAllReduce(Communicator& comm, RankBuffers& buffers,
               AllReduceTrace::Observer observer, Protocol proto,
               const SkipMask& resume)
 {
-    const int p = comm.numRanks();
-    CCUBE_CHECK(static_cast<int>(buffers.size()) == p,
-                "one buffer per rank required");
-    CCUBE_CHECK(ring.size() == p, "ring/communicator size mismatch");
-    for (const auto& b : buffers) {
-        CCUBE_CHECK(b.size() == buffers[0].size(),
-                    "all buffers must be equally sized");
-    }
-
-    AllReduceTrace trace(p);
+    checkBuffers(comm, buffers);
+    AllReduceTrace trace(comm.numRanks());
     trace.setObserver(std::move(observer));
     comm.runTasks(buildRingTasks(comm, buffers, ring,
                                  RingPhase::kAllReduce, &trace, proto,

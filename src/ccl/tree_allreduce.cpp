@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ccl/algorithm_tasks.h"
-#include "util/logging.h"
 
 namespace ccube {
 namespace ccl {
@@ -17,17 +16,8 @@ treeAllReduce(Communicator& comm, RankBuffers& buffers,
               AllReduceTrace::Observer observer, Protocol proto,
               const SkipMask& resume)
 {
-    const int p = comm.numRanks();
-    CCUBE_CHECK(static_cast<int>(buffers.size()) == p,
-                "one buffer per rank required");
-    CCUBE_CHECK(embedding.tree.numNodes() == p,
-                "tree/communicator size mismatch");
-    for (const auto& b : buffers) {
-        CCUBE_CHECK(b.size() == buffers[0].size(),
-                    "all buffers must be equally sized");
-    }
-
-    AllReduceTrace trace(p);
+    checkBuffers(comm, buffers);
+    AllReduceTrace trace(comm.numRanks());
     trace.setObserver(std::move(observer));
     const ChunkSplit split(buffers[0].size(), num_chunks);
 

@@ -3,9 +3,9 @@
 
 /**
  * @file
- * Post-hoc trace analysis: turns the raw spans of a TraceRecorder (or
- * FlightRecorder) capture into the observations the paper's argument
- * rests on.
+ * Post-hoc trace analysis: turns the raw spans of a TraceRecorder
+ * capture (either retention mode) into the observations the paper's
+ * argument rests on.
  *
  *  - **Channel timelines / idle detection.** Every `simnet.channel`
  *    occupancy span feeds a per-channel busy timeline; the analyzer
@@ -175,7 +175,7 @@ struct CriticalPath {
 /**
  * The analysis engine. Construction indexes the events; queries are
  * cheap afterwards. The event vector is typically
- * `TraceRecorder::global().snapshot()` or `FlightRecorder::snapshot()`.
+ * `TraceRecorder::global().snapshot()`.
  */
 class TraceAnalyzer
 {

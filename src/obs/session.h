@@ -13,7 +13,7 @@
  * and writes the obs::TraceAnalyzer text report (channel utilization,
  * idle gaps, α-β fit, critical path). Two auxiliary flags shape
  * retention: `--trace-capacity=N` caps retained events and
- * `--trace-mode=flight` switches to the drop-oldest FlightRecorder
+ * `--trace-mode=flight` switches the recorder to its drop-oldest
  * ring.
  *
  * Live monitoring: `--monitor-out=FILE` enables the global

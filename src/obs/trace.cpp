@@ -1,10 +1,10 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <ostream>
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace ccube {
@@ -93,24 +93,12 @@ TraceRecorder::absorb(const TraceRecorder& other)
         return;
     std::scoped_lock guard(mutex_, other.mutex_);
     const double shift = sim_offset_us_;
-    const std::vector<TraceEvent> incoming_ring =
-        other.flight_ ? other.flight_->snapshot()
-                      : std::vector<TraceEvent>{};
-    const std::vector<TraceEvent>& incoming =
-        other.flight_ ? incoming_ring : other.events_;
-    for (const TraceEvent& source : incoming) {
+    other.forEachLocked([&](const TraceEvent& source) {
         TraceEvent event = source;
         event.ts_us += shift;
-        if (flight_) {
-            flight_->record(std::move(event));
-        } else if (events_.size() < capacity_) {
-            events_.push_back(std::move(event));
-        } else {
-            ++dropped_;
-        }
-    }
-    dropped_ +=
-        other.dropped_ + (other.flight_ ? other.flight_->dropped() : 0);
+        pushLocked(std::move(event));
+    });
+    dropped_ += other.dropped_;
     for (const auto& [pid, name] : other.process_names_)
         process_names_[pid] = name;
     for (const auto& [key, name] : other.thread_names_)
@@ -174,7 +162,7 @@ TraceRecorder::completeEvent(
     event.args.reserve(args.size());
     for (const auto& [key, value] : args)
         event.args.emplace_back(std::string(key), value);
-    push(std::move(event));
+    record(std::move(event));
 }
 
 void
@@ -182,22 +170,31 @@ TraceRecorder::record(TraceEvent event)
 {
     if (!enabled())
         return;
-    push(std::move(event));
+    std::lock_guard<std::mutex> guard(mutex_);
+    pushLocked(std::move(event));
 }
 
 void
-TraceRecorder::push(TraceEvent&& event)
+TraceRecorder::pushLocked(TraceEvent&& event)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (flight_) {
-        flight_->record(std::move(event));
+    if (events_.size() < capacity_) {
+        events_.push_back(std::move(event));
         return;
     }
-    if (events_.size() >= capacity_) {
-        ++dropped_;
+    ++dropped_;
+    if (!keep_tail_)
         return;
-    }
-    events_.push_back(std::move(event));
+    events_[head_] = std::move(event);
+    head_ = (head_ + 1) % events_.size();
+}
+
+void
+TraceRecorder::unwrapLocked()
+{
+    std::rotate(events_.begin(),
+                events_.begin() + static_cast<std::ptrdiff_t>(head_),
+                events_.end());
+    head_ = 0;
 }
 
 void
@@ -213,7 +210,7 @@ TraceRecorder::instantEvent(std::string_view name, std::string_view cat,
     event.pid = pid;
     event.tid = tid;
     event.ts_us = ts_us;
-    push(std::move(event));
+    record(std::move(event));
 }
 
 void
@@ -255,14 +252,17 @@ std::size_t
 TraceRecorder::eventCount() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ ? flight_->size() : events_.size();
+    return events_.size();
 }
 
 std::vector<TraceEvent>
 TraceRecorder::snapshot() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ ? flight_->snapshot() : events_;
+    std::vector<TraceEvent> out;
+    out.reserve(events_.size());
+    forEachLocked([&](const TraceEvent& event) { out.push_back(event); });
+    return out;
 }
 
 void
@@ -270,8 +270,7 @@ TraceRecorder::clear()
 {
     std::lock_guard<std::mutex> guard(mutex_);
     events_.clear();
-    if (flight_)
-        flight_->clear();
+    head_ = 0;
     dropped_ = 0;
     process_names_.clear();
     thread_names_.clear();
@@ -284,17 +283,13 @@ TraceRecorder::setCapacity(std::size_t capacity)
     if (capacity == 0)
         capacity = 1;
     std::lock_guard<std::mutex> guard(mutex_);
-    if (flight_) {
-        // Carry ring contents back into the capped vector.
-        std::vector<TraceEvent> kept = flight_->snapshot();
-        dropped_ += flight_->dropped();
-        flight_.reset();
-        events_ = std::move(kept);
-    }
+    unwrapLocked();
+    keep_tail_ = false;
     capacity_ = capacity;
-    while (events_.size() > capacity_) {
-        events_.pop_back();
-        ++dropped_;
+    // Keep the head: shrinking drops the newest retained events.
+    if (events_.size() > capacity_) {
+        dropped_ += events_.size() - capacity_;
+        events_.resize(capacity_);
     }
 }
 
@@ -302,7 +297,7 @@ std::size_t
 TraceRecorder::capacity() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ ? flight_->capacity() : capacity_;
+    return capacity_;
 }
 
 void
@@ -311,31 +306,31 @@ TraceRecorder::setFlightCapacity(std::size_t capacity)
     if (capacity == 0)
         capacity = 1;
     std::lock_guard<std::mutex> guard(mutex_);
-    std::uint64_t prior_dropped = 0;
-    std::vector<TraceEvent> pending = std::move(events_);
-    events_.clear();
-    if (flight_) {
-        pending = flight_->snapshot();
-        prior_dropped = flight_->dropped();
+    unwrapLocked();
+    keep_tail_ = true;
+    capacity_ = capacity;
+    // Keep the tail: shrinking evicts the oldest retained events.
+    if (events_.size() > capacity_) {
+        const std::size_t evicted = events_.size() - capacity_;
+        dropped_ += evicted;
+        events_.erase(events_.begin(),
+                      events_.begin() +
+                          static_cast<std::ptrdiff_t>(evicted));
     }
-    flight_ = std::make_unique<FlightRecorder>(capacity);
-    dropped_ += prior_dropped;
-    for (TraceEvent& event : pending)
-        flight_->record(std::move(event));
 }
 
 bool
 TraceRecorder::flightMode() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return flight_ != nullptr;
+    return keep_tail_;
 }
 
 std::uint64_t
 TraceRecorder::droppedEvents() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return dropped_ + (flight_ ? flight_->dropped() : 0);
+    return dropped_;
 }
 
 void
@@ -351,9 +346,6 @@ void
 TraceRecorder::writeJson(std::ostream& out) const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    const std::vector<TraceEvent> ring =
-        flight_ ? flight_->snapshot() : std::vector<TraceEvent>{};
-    const std::vector<TraceEvent>& events = flight_ ? ring : events_;
     out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
     auto sep = [&]() {
@@ -377,7 +369,7 @@ TraceRecorder::writeJson(std::ostream& out) const
         writeJsonString(out, name);
         out << "}}";
     }
-    for (const TraceEvent& event : events) {
+    forEachLocked([&](const TraceEvent& event) {
         sep();
         writeEventCommon(out, event.name, event.cat, event.phase,
                          event.pid, event.tid, event.ts_us);
@@ -398,7 +390,7 @@ TraceRecorder::writeJson(std::ostream& out) const
             out << "}";
         }
         out << "}";
-    }
+    });
     out << "\n]}\n";
 }
 

@@ -26,14 +26,14 @@
  * atomic load) before building an event; a disabled recorder costs one
  * branch per call site and records nothing.
  *
- * Memory discipline: retention is bounded. By default events land in a
- * vector capped at `capacity()` (overridable with setCapacity() or the
- * CCUBE_TRACE_CAPACITY environment variable); events beyond the cap
- * are counted in droppedEvents() instead of accumulating without
- * limit, so long sweeps with tracing left on cannot OOM. Alternatively
- * setFlightCapacity() swaps the backend for an obs::FlightRecorder
- * ring that keeps the most recent events (drop-oldest) — the
- * always-on "flight recorder" capture mode.
+ * Memory discipline: retention is bounded. Events land in one store
+ * of at most `capacity()` events (setCapacity() or the
+ * CCUBE_TRACE_CAPACITY environment variable) that keeps either the
+ * head of the run — events past the cap are dropped — or, in flight
+ * mode (setFlightCapacity()), the tail: a ring that evicts the oldest
+ * event, the always-on "flight recorder" capture that cannot OOM and
+ * keeps the part of a run that explains a hang. Either way the events
+ * lost are counted in droppedEvents().
  */
 
 #include <atomic>
@@ -42,7 +42,6 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -52,7 +51,6 @@
 namespace ccube {
 namespace obs {
 
-class FlightRecorder;
 class MetricRegistry;
 
 /** Pid namespaces separating the three producer layers in the UI. */
@@ -192,22 +190,22 @@ class TraceRecorder
      */
     void setCapacity(std::size_t capacity);
 
-    /** Current retention cap (vector or ring, whichever is active). */
+    /** Current retention cap (either mode). */
     std::size_t capacity() const;
 
     /**
-     * Switches the backend to a FlightRecorder ring of @p capacity
-     * events: recording never stops, the *oldest* events are evicted
-     * when full. Existing events are migrated into the ring.
+     * Switches to flight mode with room for @p capacity events:
+     * recording never stops, the *oldest* events are evicted when
+     * full. Retained events are kept, oldest evicted first.
      */
     void setFlightCapacity(std::size_t capacity);
 
-    /** True while the flight-ring backend is active. */
+    /** True while flight mode (keep the tail) is active. */
     bool flightMode() const;
 
     /**
      * Events lost to the retention bound: drop-newest rejections in
-     * the default mode plus ring evictions in flight mode.
+     * the default mode, ring evictions in flight mode.
      */
     std::uint64_t droppedEvents() const;
 
@@ -216,16 +214,32 @@ class TraceRecorder
     void exportTo(MetricRegistry& registry) const;
 
   private:
-    void push(TraceEvent&& event);
+    /** Stores @p event under the retention policy; mutex_ held. */
+    void pushLocked(TraceEvent&& event);
+
+    /** Calls @p visit on every retained event, oldest first; mutex_
+     *  held. */
+    template <typename Visit>
+    void forEachLocked(Visit&& visit) const
+    {
+        for (std::size_t i = 0; i < events_.size(); ++i)
+            visit(events_[(head_ + i) % events_.size()]);
+    }
+
+    /** Rotates the ring so the oldest event is events_[0]; mutex_
+     *  held. */
+    void unwrapLocked();
 
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_{};
 
     mutable std::mutex mutex_;
-    std::vector<TraceEvent> events_;
+    std::vector<TraceEvent> events_; ///< grows to capacity_, then wraps
+                                     ///< in flight mode
+    std::size_t head_ = 0;           ///< oldest event once wrapped
     std::size_t capacity_ = kDefaultCapacity;
-    std::uint64_t dropped_ = 0; ///< drop-newest count (default mode)
-    std::unique_ptr<FlightRecorder> flight_; ///< non-null in flight mode
+    bool keep_tail_ = false; ///< flight mode
+    std::uint64_t dropped_ = 0;
     std::map<int, std::string> process_names_;
     std::map<std::pair<int, int>, std::string> thread_names_;
     double sim_offset_us_ = 0.0;

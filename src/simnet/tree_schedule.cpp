@@ -30,12 +30,11 @@ TreeSchedule::TreeSchedule(Network& network,
     const int p = embedding_.tree.numNodes();
     up_routes_.resize(static_cast<std::size_t>(p));
     down_routes_.resize(static_cast<std::size_t>(p));
-    for (NodeId n = 0; n < p; ++n) {
-        if (n != embedding_.tree.root()) {
-            const topo::Route& down = embedding_.routeToChild(n);
-            down_routes_[static_cast<std::size_t>(n)] = down;
-            up_routes_[static_cast<std::size_t>(n)] = down.reversed();
-        }
+    // One pass over the routes; each runs parent → child.
+    for (const topo::Route& down : embedding_.routes) {
+        const auto child = static_cast<std::size_t>(down.hops.back());
+        down_routes_[child] = down;
+        up_routes_[child] = down.reversed();
     }
     reduce_arrivals_.assign(static_cast<std::size_t>(p),
                             std::vector<int>(
@@ -195,16 +194,14 @@ treeChannelIds(const topo::Graph& graph,
                bool down)
 {
     std::vector<int> out;
-    const int p = embedding.tree.numNodes();
-    for (NodeId n = 0; n < p; ++n) {
-        if (n == embedding.tree.root())
-            continue;
-        topo::Route route = embedding.routeToChild(n);
-        if (!down)
-            route = route.reversed();
+    for (const topo::Route& route : embedding.routes) {
         for (std::size_t h = 0; h + 1 < route.hops.size(); ++h) {
+            // Routes run parent → child; the up direction reverses
+            // every hop.
+            const NodeId a = route.hops[h];
+            const NodeId b = route.hops[h + 1];
             const std::vector<int> ids =
-                graph.channelIds(route.hops[h], route.hops[h + 1]);
+                down ? graph.channelIds(a, b) : graph.channelIds(b, a);
             CCUBE_CHECK(!ids.empty(), "broken route in embedding");
             const int pick = std::clamp(
                 lane, 0, static_cast<int>(ids.size()) - 1);

@@ -213,10 +213,10 @@ TreeEmbedding::TreeEmbedding(BinaryTree t)
 const Route&
 TreeEmbedding::routeToChild(NodeId child) const
 {
-    const auto all = tree.edges();
-    for (std::size_t i = 0; i < all.size(); ++i)
-        if (all[i].second == child)
-            return routes[i];
+    // A route runs parent → child, so its last hop names the child.
+    for (const Route& route : routes)
+        if (route.hops.back() == child)
+            return route;
     util::panic("no route to child — node is the root or unknown");
 }
 

@@ -140,7 +140,8 @@ struct TreeEmbedding {
 
     explicit TreeEmbedding(BinaryTree t);
 
-    /** Route for the edge to @p child from its parent. */
+    /** Route for the edge to @p child from its parent: a scan of
+     *  routes, O(P). To map every node, walk routes once instead. */
     const Route& routeToChild(NodeId child) const;
 };
 

@@ -18,7 +18,6 @@
 
 #include "model/alpha_beta.h"
 #include "obs/analyze.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -58,18 +57,21 @@ channelSpan(int channel, double ts_us, double dur_us, double bytes,
                       {"bytes", bytes}});
 }
 
-// --- FlightRecorder --------------------------------------------------
+// --- Flight mode ------------------------------------------------------
 
-TEST(FlightRecorder, KeepsNewestDropsOldest)
+TEST(TraceRecorderRetention, FlightRingKeepsNewestDropsOldest)
 {
-    obs::FlightRecorder ring(3);
+    obs::TraceRecorder ring;
+    ring.setFlightCapacity(3);
     EXPECT_EQ(ring.capacity(), 3u);
+    ring.enable();
     for (int i = 0; i < 5; ++i)
         ring.record(makeEvent("e" + std::to_string(i), "t", 1, 1,
                               static_cast<double>(i), 1.0));
-    EXPECT_EQ(ring.size(), 3u);
-    EXPECT_EQ(ring.recorded(), 5u);
-    EXPECT_EQ(ring.dropped(), 2u);
+    ring.disable();
+    EXPECT_EQ(ring.eventCount(), 3u);
+    EXPECT_EQ(ring.eventCount() + ring.droppedEvents(), 5u);
+    EXPECT_EQ(ring.droppedEvents(), 2u);
     const auto events = ring.snapshot();
     ASSERT_EQ(events.size(), 3u);
     // Oldest-first snapshot of the newest three.
@@ -77,8 +79,9 @@ TEST(FlightRecorder, KeepsNewestDropsOldest)
     EXPECT_EQ(events[1].name, "e3");
     EXPECT_EQ(events[2].name, "e4");
     ring.clear();
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(ring.eventCount(), 0u);
+    EXPECT_EQ(ring.droppedEvents(), 0u);
+    EXPECT_TRUE(ring.flightMode()); // clear keeps the mode
 }
 
 // --- TraceRecorder retention -----------------------------------------
